@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import __version__, modcat, oracles
 from .dynkin import Classification, GCMError, classify, gcm_of, graph_of
+from .kernels import reachable, undirected
 from .modcat import ModuleCategoryModel, PreconditionFailed, Transitivity
 from .oracles import NamedOObject, NotInCatalog, SlCharacter
 from .presented import PresentationError, PresentedMatrix, PresentedVector
@@ -202,23 +203,14 @@ def _format_character(c: SlCharacter) -> str:
 
 
 def _connected_components(dense: list[list[int]]) -> list[list[int]]:
-    n = len(dense)
-    seen: set[int] = set()
+    neighbours = undirected(dense)
     components: list[list[int]] = []
-    for start in range(n):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in range(n):
-                if w not in seen and w != v and (dense[v][w] or dense[w][v]):
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        components.append(sorted(comp))
+    seen: set[int] = set()
+    for start in range(len(dense)):
+        if start not in seen:
+            comp = reachable(start, neighbours)
+            seen |= comp
+            components.append(sorted(comp))
     return components
 
 

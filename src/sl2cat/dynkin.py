@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import gcd, lcm
 from typing import Iterable
 
 from .fusion import r_poly
+from .kernels import Echelon, leading_minors, reachable, undirected
 from .presented import IndexSet, PresentedMatrix, PresentedVector
 
 __all__ = [
@@ -377,63 +377,6 @@ def check_coxeter_annihilation(dtype: DynkinType) -> bool:
 # -- exact linear algebra helpers ---------------------------------------------
 
 
-def _leading_minors(dense: list[list[int]]) -> list[int]:
-    out = []
-    for k in range(1, len(dense) + 1):
-        out.append(_det([row[:k] for row in dense[:k]]))
-    return out
-
-
-def _det(a: list[list[int]]) -> int:
-    n = len(a)
-    work = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col]:
-                factor = work[r][col] * inv
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    assert det.denominator == 1
-    return int(det)
-
-
-def _kernel_basis(rows: list[list[Fraction]], cols: int) -> list[list[Fraction]]:
-    work = [list(row) for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                factor = work[i][c]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    basis = []
-    for free in (c for c in range(cols) if c not in pivots):
-        vec = [Fraction(0)] * cols
-        vec[free] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            vec[pc] = -work[pr][free]
-        basis.append(vec)
-    return basis
-
-
 def _primitive_integer(vec: list[Fraction]) -> list[int]:
     scale = lcm(*(x.denominator for x in vec)) if vec else 1
     ints = [int(x * scale) for x in vec]
@@ -460,8 +403,7 @@ def find_positive_null_vector(gcm: PresentedMatrix) -> PresentedVector | None:
     index = gcm.index
     if index.kind == "finite":
         n = index.size
-        dense = [[Fraction(gcm.entry(i, j)) for j in range(n)] for i in range(n)]
-        basis = _kernel_basis(dense, n)
+        basis = Echelon(dict(enumerate(row)) for row in gcm.truncate(n)).kernel(n)
         if len(basis) != 1:
             return None
         ints = _primitive_integer(basis[0])
@@ -476,23 +418,21 @@ def find_positive_null_vector(gcm: PresentedMatrix) -> PresentedVector | None:
         head_len = gcm.head_size + gcm.band
         unknowns = head_len + 2  # v_0..v_{H-1}, a, b
         boundary = max(gcm.head_extent(), gcm.head_size + gcm.band, head_len + gcm.band)
-        rows: list[list[Fraction]] = []
+        rows: list[dict[int, int]] = []
         for i in range(boundary):
-            row = [Fraction(0)] * unknowns
+            row: dict[int, int] = {}
             for j, v in gcm.row_entries(i):
                 if j < head_len:
-                    row[j] += v
+                    row[j] = row.get(j, 0) + v
                 else:
-                    row[head_len] += Fraction(v * j)
-                    row[head_len + 1] += v
+                    row[head_len] = row.get(head_len, 0) + v * j
+                    row[head_len + 1] = row.get(head_len + 1, 0) + v
             rows.append(row)
-        slope = [Fraction(0)] * unknowns
-        slope[head_len] = Fraction(sum(gcm.diagonals().values()))
-        intercept = [Fraction(0)] * unknowns
-        intercept[head_len] = Fraction(sum(d * v for d, v in gcm.diagonals().items()))
-        intercept[head_len + 1] = Fraction(sum(gcm.diagonals().values()))
-        rows.extend([slope, intercept])
-        basis = _kernel_basis(rows, unknowns)
+        tail = gcm.diagonals()
+        rows.append({head_len: sum(tail.values())})
+        rows.append({head_len: sum(d * v for d, v in tail.items()),
+                     head_len + 1: sum(tail.values())})
+        basis = Echelon(rows).kernel(unknowns)
         if len(basis) != 1:
             return None
         ints = _primitive_integer(basis[0])
@@ -521,15 +461,17 @@ def _profile(dense: list[list[int]], v: int) -> tuple:
     return (dense[v][v], tuple(out), tuple(inc))
 
 
-def _digraph_isomorphic(a: list[list[int]], b: list[list[int]]) -> bool:
+def _digraph_isomorphic(a: list[list[int]], b: list[list[int]], movable: int | None = None) -> bool:
+    """An isomorphism of dense digraphs moving only vertices below movable."""
     n = len(a)
     if len(b) != n:
         return False
+    movable = n if movable is None else movable
     pa = [_profile(a, v) for v in range(n)]
     pb = [_profile(b, v) for v in range(n)]
     if sorted(pa) != sorted(pb):
         return False
-    order = sorted(range(n), key=lambda v: (pa.count(pa[v]), v))
+    order = sorted(range(n), key=lambda v: (v < movable, pa.count(pa[v]), v))
     image: list[int | None] = [None] * n
     used = [False] * n
 
@@ -537,7 +479,7 @@ def _digraph_isomorphic(a: list[list[int]], b: list[list[int]]) -> bool:
         if pos == n:
             return True
         v = order[pos]
-        for w in range(n):
+        for w in range(n) if v < movable else (v,):
             if used[w] or pa[v] != pb[w]:
                 continue
             ok = True
@@ -559,58 +501,29 @@ def _digraph_isomorphic(a: list[list[int]], b: list[list[int]]) -> bool:
 
 
 def _match_infinite(adjacency: PresentedMatrix) -> DynkinType | None:
+    """Infinite template equal to the diagram up to relabelling its head.
+
+    Past the window both matrices follow the same tail rule, so a
+    relabelling of the window vertices is decided on a truncation that
+    also holds every window vertex's neighbours.
+    """
     for family in INFINITE_FAMILIES:
         candidate = _infinite_adjacency(family)
-        if candidate.index != adjacency.index:
+        if candidate.index != adjacency.index or candidate.diagonals() != adjacency.diagonals():
             continue
         if candidate == adjacency:
             return DynkinType("infinite", family)
-    if adjacency.index.kind != "nat":
-        return None
-    window = max(adjacency.head_size, 3) + adjacency.band
-    if window > 6:
-        return None
-    extent = max(adjacency.head_extent(), window + adjacency.band) + window
-    for family in INFINITE_FAMILIES:
-        candidate = _infinite_adjacency(family)
-        if candidate.index != adjacency.index:
+        if adjacency.index.kind != "nat":
             continue
-        for perm in permutations(range(window)):
-            if all(perm[i] == i for i in range(window)):
-                continue
-            entries = {}
-            for i in range(extent):
-                pi = perm[i] if i < window else i
-                for j in range(extent):
-                    pj = perm[j] if j < window else j
-                    if min(i, j) < window + adjacency.band:
-                        v = adjacency.entry(pi, pj)
-                        if v:
-                            entries[(i, j)] = v
-            permuted = PresentedMatrix(
-                adjacency.index, window + adjacency.band, entries, adjacency.diagonals()
-            )
-            if permuted == candidate:
-                return DynkinType("infinite", family)
+        window = max(adjacency.head_size, adjacency.head_extent(),
+                     candidate.head_extent()) + adjacency.band
+        size = window + adjacency.band
+        if _digraph_isomorphic(adjacency.truncate(size), candidate.truncate(size), window):
+            return DynkinType("infinite", family)
     return None
 
 
 # -- connectivity ------------------------------------------------------------------
-
-
-def _finite_connected(dense: list[list[int]]) -> bool:
-    n = len(dense)
-    if n == 0:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in range(n):
-            if w not in seen and (dense[v][w] or dense[w][v]):
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
 
 
 def _infinite_connected(adjacency: PresentedMatrix) -> bool:
@@ -629,15 +542,7 @@ def _infinite_connected(adjacency: PresentedMatrix) -> bool:
         # steps generate the subgroup gcd(offsets)*Z
         return gcd(*(abs(d) for d in offdiag)) == 1
     window = max(adjacency.head_extent(), adjacency.head_size + adjacency.band) + adjacency.band
-    dense = adjacency.truncate(window + 2 * adjacency.band)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in range(len(dense)):
-            if w not in seen and (dense[v][w] or dense[w][v]):
-                seen.add(w)
-                stack.append(w)
+    seen = reachable(0, undirected(adjacency.truncate(window + 2 * adjacency.band)))
     return all(v in seen for v in range(window))
 
 
@@ -668,9 +573,9 @@ def classify_finite(gcm: PresentedMatrix) -> Classification:
     n = gcm.index.size
     adjacency = graph_of(gcm)
     dense = _dense_adjacency(adjacency)
-    if not _finite_connected(dense):
+    if n == 0 or len(reachable(0, undirected(dense))) != n:
         return _unrecognized("diagram is not connected")
-    minors = _leading_minors(gcm.truncate(n))
+    minors = leading_minors(dict(enumerate(row)) for row in gcm.truncate(n))
     if all(m > 0 for m in minors):
         for family, (minimum, fixed) in CLASSICAL_RANKS.items():
             rank = fixed if fixed is not None else n

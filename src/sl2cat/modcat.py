@@ -22,6 +22,7 @@ from importlib import resources
 
 from .dynkin import Classification, DynkinType, GCMError, classify, gcm_of
 from .fusion import r_poly
+from .kernels import reachable
 from .obstruction import ObstructionReport, PreconditionFailed, solve_feasibility
 from .presented import PresentedMatrix
 
@@ -156,22 +157,9 @@ def action_graph(m: ModuleCategoryModel, size: int | None = None) -> tuple[list[
 
 def _strongly_connected(dense: list[list[int]]) -> bool:
     n = len(dense)
-    if n == 0:
-        return False
-
-    def reach(transpose: bool) -> set[int]:
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in range(n):
-                val = dense[v][w] if transpose else dense[w][v]
-                if val and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    return len(reach(False)) == n and len(reach(True)) == n
+    forward = reachable(0, lambda v: (w for w in range(n) if dense[w][v]))
+    backward = reachable(0, lambda v: (w for w in range(n) if dense[v][w]))
+    return n > 0 and len(forward) == n and len(backward) == n
 
 
 def is_transitive(m: ModuleCategoryModel) -> Transitivity:

@@ -24,7 +24,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Mapping
 
-from .presented import IndexSet, PresentedMatrix
+from .kernels import Echelon
+from .presented import IndexSet, PresentationError, PresentedMatrix
 
 
 class NotInCatalog(ValueError):
@@ -174,7 +175,8 @@ def decompose_in_N(v: OClassVector) -> dict[NamedOObject, int]:
         work[d] -= c
         work[-d - 2] = work.get(-d - 2, 0) - c
     residual = {w: c for w, c in work.items() if c}
-    assert all(w <= -1 for w in residual), "P-extraction left a dominant residue"
+    if any(w > -1 for w in residual):
+        raise RuntimeError("P-extraction left a dominant residue")
     for w, c in sorted(residual.items()):
         if c < 0:
             raise NotInCatalog(f"negative multiplicity {c} left at weight {w}")
@@ -288,7 +290,8 @@ def _col_tilting_quotient(j: int) -> dict[int, int]:
     for obj, c in parts.items():
         if obj.kind == "P" or (obj.kind == "L" and obj.weight == -1):
             continue
-        assert obj.kind == "L" and obj.weight <= -2
+        if obj.kind != "L" or obj.weight > -2:
+            raise RuntimeError(f"tilting quotient left the catalog: {obj.display()}")
         out[-2 - obj.weight] = c
     return out
 
@@ -357,7 +360,7 @@ def _fit_nat(columns: dict[int, dict[int, int]]) -> PresentedMatrix:
         }
         try:
             matrix = PresentedMatrix(IndexSet.nat(), head_size, head, diags)
-        except Exception:
+        except PresentationError:
             continue
         if all(dict(matrix.col_entries(j)) == columns[j] for j in columns):
             return matrix
@@ -446,7 +449,8 @@ class SlCharacter:
         return [self.value(k) for k in range(n)]
 
     def _expand(self, head_len: int, period: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-        assert head_len >= len(self.head) and period % self.period == 0
+        if head_len < len(self.head) or period % self.period != 0:
+            raise ValueError("expansion must keep the head and refine the period")
         head = tuple(self.value(k) for k in range(head_len))
         tails = []
         for r in range(period):
@@ -554,29 +558,6 @@ def _schrodinger_report(truncation: int) -> RestrictionReport:
     return _solve_chain_system("schrodinger", relations, shown)
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    rows = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    width = len(rows[0]) if rows else 0
-    for c in range(width):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
 def _fit_periodic(values: list[int], period: int) -> SlCharacter:
     """Smallest head whose complement is exactly periodic-affine."""
     for head_len in range(len(values) - 2 * period + 1):
@@ -595,43 +576,30 @@ def _fit_periodic(values: list[int], period: int) -> SlCharacter:
 
 
 def _dinf_relation_rows(truncation: int, unknowns: list[str], fixed: dict[str, SlCharacter],
-                        ) -> tuple[list[list[Fraction]], list[Fraction]]:
+                        ) -> tuple[list[dict[int, int]], list[int]]:
     """Coefficient-level equations for the forked chain system.
 
     Unknown characters are flat coefficient vectors on indices
     0..truncation; each relation contributes one equation per index at
-    which every term is determined by the window.
+    which every term is determined by the window.  Rows are sparse
+    ``{column: coefficient}`` maps.
     """
     size = truncation + 1
     columns = {name: i * size for i, name in enumerate(unknowns)}
-    width = len(unknowns) * size
-
-    def blank() -> list[Fraction]:
-        return [Fraction(0)] * width
 
     def known(name: str, k: int) -> int:
         return fixed[name].value(k)
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[dict[int, int]] = []
+    rhs: list[int] = []
 
-    def tensor_coeffs(name: str, k: int, sign: int, row, acc):
-        # contribution of sign * (tensor_L1 of the named character) at index k
-        sources = [1] if k == 0 else [k - 1, k + 1]
-        for src in sources:
-            if name in columns:
-                if src >= size:
-                    return False
-                row[columns[name] + src] += sign
-            else:
-                acc[0] += -sign * known(name, src)
-        return True
-
-    def plain_coeffs(name: str, k: int, sign: int, row, acc):
+    def term(name: str, k: int, sign: int, row, acc) -> bool:
+        # contribution of sign * (the named character) at index k
         if name in columns:
             if k >= size:
                 return False
-            row[columns[name] + k] += sign
+            col = columns[name] + k
+            row[col] = row.get(col, 0) + sign
         else:
             acc[0] += -sign * known(name, k)
         return True
@@ -649,15 +617,23 @@ def _dinf_relation_rows(truncation: int, unknowns: list[str], fixed: dict[str, S
     ]
     for source, targets in relations:
         for k in range(size):
-            row = blank()
-            acc = [Fraction(0)]
-            ok = tensor_coeffs(source, k, 1, row, acc)
+            row: dict[int, int] = {}
+            acc = [0]
+            # tensoring with the two dimensional simple reads indices k-1 and k+1
+            sources = [1] if k == 0 else [k - 1, k + 1]
+            ok = all(term(source, src, 1, row, acc) for src in sources)
             for t in targets:
-                ok = ok and plain_coeffs(t, k, -1, row, acc)
+                ok = ok and term(t, k, -1, row, acc)
             if ok:
                 rows.append(row)
                 rhs.append(acc[0])
     return rows, rhs
+
+
+#: the branch characters repeat with period 4; fitting that tail needs two
+#: full periods of solved values, i.e. indices 0..7
+_DINF_PERIOD = 4
+_DINF_MIN_ASSUMED_TRUNCATION = 2 * _DINF_PERIOD - 1
 
 
 def _dinf_report(truncation: int, assume_restrictions: bool) -> RestrictionReport:
@@ -665,8 +641,7 @@ def _dinf_report(truncation: int, assume_restrictions: bool) -> RestrictionRepor
     if not assume_restrictions:
         unknowns = ["branch_a", "branch_b"] + [f"chain_{n}" for n in range(1, 6)]
         rows, rhs = _dinf_relation_rows(truncation, unknowns, {})
-        _, pivots = _rref(rows)
-        dim = len(unknowns) * size - len(pivots)
+        dim = len(unknowns) * size - Echelon(rows).rank
         freedom = (
             f"all {len(unknowns)} restriction characters left unknown: the truncated "
             f"homogeneous system has a {dim}-dimensional solution space (the zero "
@@ -674,32 +649,34 @@ def _dinf_report(truncation: int, assume_restrictions: bool) -> RestrictionRepor
         )
         return RestrictionReport("dinf", "underdetermined", 0, {}, freedom)
 
+    if truncation < _DINF_MIN_ASSUMED_TRUNCATION:
+        raise ValueError(
+            f"the dinf system with assumed restrictions needs truncation >= "
+            f"{_DINF_MIN_ASSUMED_TRUNCATION} to fit its period-{_DINF_PERIOD} tail"
+        )
     fixed = {f"chain_{n}": SlCharacter.tower(n, 2) for n in range(1, truncation + 2)}
     unknowns = ["branch_a", "branch_b"]
     rows, rhs = _dinf_relation_rows(truncation, unknowns, fixed)
     # normalization: the second branch character avoids the trivial simple
-    norm = [Fraction(0)] * (2 * size)
-    norm[size] = Fraction(1)
-    rows.append(norm)
-    rhs.append(Fraction(0))
+    rows.append({size: 1})
+    rhs.append(0)
 
-    augmented = [row + [val] for row, val in zip(rows, rhs)]
-    reduced, pivots = _rref(augmented)
-    if any(p == 2 * size for p in pivots):
+    augmented = 2 * size
+    echelon = Echelon({**row, augmented: val} for row, val in zip(rows, rhs))
+    if augmented in echelon.pivots:
         return RestrictionReport("dinf", "infeasible", len(rows))
-    if len(pivots) < 2 * size:
-        dim = 2 * size - len(pivots)
+    if echelon.rank < 2 * size:
+        dim = 2 * size - echelon.rank
         return RestrictionReport(
             "dinf", "underdetermined", len(rows), {},
             f"{dim}-dimensional ambiguity remains even with assumed restrictions",
         )
-    solution = [Fraction(0)] * (2 * size)
-    for row, col in zip(reduced, pivots):
-        solution[col] = row[-1]
-    if any(x.denominator != 1 or x < 0 for x in solution):
+    x = echelon.solution({augmented: -1})
+    solution = [x[c] for c in range(2 * size)]
+    if any(v.denominator != 1 or v < 0 for v in solution):
         return RestrictionReport("dinf", "infeasible", len(rows))
-    branch_a = _fit_periodic([int(x) for x in solution[:size]], 4)
-    branch_b = _fit_periodic([int(x) for x in solution[size:]], 4)
+    branch_a = _fit_periodic([int(v) for v in solution[:size]], _DINF_PERIOD)
+    branch_b = _fit_periodic([int(v) for v in solution[size:]], _DINF_PERIOD)
 
     # certify the fitted characters symbolically against every relation shape
     checks = [
@@ -738,7 +715,8 @@ def restriction_consistency_solve(
     Stated characters are verified symbolically relation by relation; the
     forked system's two branch characters are solved for exactly on the
     truncation window when the chain characters are assumed, then the
-    candidates are certified symbolically.
+    candidates are certified symbolically.  Every system needs truncation
+    >= 4; the assumed forked system needs >= 7 (ValueError otherwise).
     """
     if truncation < 4:
         raise ValueError("need truncation >= 4")
@@ -795,32 +773,6 @@ class JordanPartition:
         return {"blocks": [[size, str(ev)] for size, ev in self.blocks]}
 
 
-def _sparse_rank(cols: dict[int, dict[int, Fraction]]) -> int:
-    pivots: dict[int, dict[int, Fraction]] = {}
-    # eliminate column by column; every column starts tiny and stays tiny
-    rows: dict[int, dict[int, Fraction]] = {}
-    for c, col in cols.items():
-        for r, v in col.items():
-            if v:
-                rows.setdefault(r, {})[c] = rows.setdefault(r, {}).get(c, 0) + v
-    rank = 0
-    for row in rows.values():
-        work = dict(row)
-        while work:
-            lead = min(work)
-            if lead not in pivots:
-                inv = Fraction(1) / work[lead]
-                pivots[lead] = {c: v * inv for c, v in work.items()}
-                rank += 1
-                break
-            factor = work[lead]
-            for c, v in pivots[lead].items():
-                work[c] = work.get(c, Fraction(0)) - factor * v
-                if work[c] == 0:
-                    del work[c]
-    return rank
-
-
 def jordan_kronecker_oracle(n: int, lam) -> JordanPartition:
     """Jordan type of a two dimensional Jordan cell summed with an n cell.
 
@@ -836,26 +788,27 @@ def jordan_kronecker_oracle(n: int, lam) -> JordanPartition:
     def idx(s: int, t: int) -> int:
         return s * n + t
 
-    nil: dict[int, dict[int, Fraction]] = {c: {} for c in range(size)}
+    nil: dict[int, dict[int, int]] = {c: {} for c in range(size)}
     for s in range(2):
         for t in range(n):
             if t + 1 < n:
-                nil[idx(s, t + 1)][idx(s, t)] = Fraction(1)
+                nil[idx(s, t + 1)][idx(s, t)] = 1
             if s == 1:
-                nil[idx(1, t)][idx(0, t)] = nil[idx(1, t)].get(idx(0, t), Fraction(0)) + 1
+                nil[idx(1, t)][idx(0, t)] = nil[idx(1, t)].get(idx(0, t), 0) + 1
 
     ranks = [size]
     power = {c: dict(col) for c, col in nil.items()}
     while ranks[-1] > 0:
-        ranks.append(_sparse_rank(power))
+        # the rank of a matrix is the rank of its set of columns
+        ranks.append(Echelon(power.values()).rank)
         if ranks[-1] == 0:
             break
-        nxt: dict[int, dict[int, Fraction]] = {}
+        nxt: dict[int, dict[int, int]] = {}
         for c in range(size):
-            out: dict[int, Fraction] = {}
+            out: dict[int, int] = {}
             for mid, v in nil[c].items():
                 for r, w in power.get(mid, {}).items():
-                    out[r] = out.get(r, Fraction(0)) + v * w
+                    out[r] = out.get(r, 0) + v * w
             nxt[c] = {r: v for r, v in out.items() if v}
         power = nxt
     blocks: list[tuple[int, Fraction]] = []

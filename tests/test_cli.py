@@ -400,6 +400,21 @@ def test_restrictions_dinf_needs_assumption(capsys, registry):
     ]
 
 
+def test_restrictions_dinf_assumed_minimum_truncation(capsys):
+    # the period-4 branch tail needs two full periods, i.e. truncation 7
+    code, out, err = run(capsys, "oracle", "restrictions", "--system", "dinf",
+                         "--truncation", "6", "--assume-restrictions")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "truncation >= 7" in err
+    assert "Traceback" not in err
+
+    code, doc = run_json(capsys, "oracle", "restrictions", "--system", "dinf",
+                         "--truncation", "7", "--assume-restrictions", "--json")
+    assert code == 0
+    assert doc["status"] == "consistent"
+
+
 def test_restrictions_unknown_system_exit_3(capsys):
     code, _, err = run(capsys, "oracle", "restrictions", "--system", "nope")
     assert code == 3

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -204,6 +205,23 @@ def test_classical_permutation_invariance(perm):
     assert result.dtype == DynkinType("classical", "D", 4)
 
 
+def _relabel_head(adjacency, perm):
+    """The nat-indexed diagram with vertex perm[i] renamed i for i < len(perm)."""
+    window = len(perm)
+    extent = max(adjacency.head_extent(), window) + adjacency.band
+
+    def old(i):
+        return perm[i] if i < window else i
+
+    head = {}
+    for i in range(extent):
+        for j in range(extent):
+            v = adjacency.entry(old(i), old(j))
+            if v and min(i, j) < window:
+                head[(i, j)] = v
+    return PresentedMatrix(adjacency.index, window, head, adjacency.diagonals())
+
+
 def test_relabeled_infinite_head_still_matches():
     # two pendants written as vertices 1 and 2 hanging off vertex 0, with
     # the ray starting at vertex 0 via an explicit (0,3) edge
@@ -212,6 +230,19 @@ def test_relabeled_infinite_head_still_matches():
     result = classify(gcm_of(adjacency))
     assert result.kind == "infinite"
     assert result.dtype.family == "Dinf"
+    # heads scrambled past the six-vertex window the matcher once capped at
+    rng = random.Random(0)
+    for family in ("Binf", "Cinf", "Dinf", "Tinf"):
+        canonical = graph_of(template(DynkinType("infinite", family)))
+        for window in (6, 7, 8):
+            perm = list(range(window))
+            while perm == sorted(perm):
+                rng.shuffle(perm)
+            relabeled = _relabel_head(canonical, perm)
+            assert relabeled != canonical
+            result = classify(gcm_of(relabeled))
+            assert result.kind == "infinite", (family, perm, result.certificate)
+            assert result.dtype.family == family
 
 
 def test_one_vertex_cases():
