@@ -193,8 +193,8 @@ def _compositions(ms: PresentedMatrix, depth: int) -> dict:
     for a in range(depth + 1):
         mat = ms.poly_eval(r_poly(a))
         for j in _object_window(ms, depth):
-            col = {}
-            for i, v in mat.col_entries(j):
+            col = {}  # ascending factors: rule order and search ties ignore storage order
+            for i, v in sorted(mat.col_entries(j)):
                 if v < 0:
                     raise PreconditionFailed(
                         f"composition multiplicity [F_{a} S_{j} : S_{i}] = {v} is negative"

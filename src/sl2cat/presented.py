@@ -6,7 +6,10 @@ banded Toeplitz "tail": for min(i, j) >= head_size the entry depends only
 on the offset d = j - i, is zero for |d| > band, and equals diagonals[d]
 otherwise.  Matrices indexed by Z are pure Toeplitz (empty head), and
 matrices over a finite index set are all head.  Every row and every column
-has finite support, so products are given by finite exact sums.
+has finite support, so products are given by finite exact sums.  On the
+natural numbers a product is formed structurally: its tail is the product
+of the two tails' symbols, and only the rows and columns below the larger
+head block plus a band need explicit sparse sums.
 
 Vectors follow the same pattern with an eventually affine tail
 v_i = a * i + b (a single constant for Z-indexed vectors).
@@ -174,27 +177,26 @@ class PresentedMatrix:
         raise AttributeError("PresentedMatrix is immutable")
 
     def _normalize(self) -> None:
+        """Drop boundary edges min(i, j) = n - 1 that agree with the tail.
+
+        An edge agrees exactly when it stores one entry per diagonal, each
+        equal to its tail value, so bucketing the head by edge once makes
+        each drop cost O(its entries).  With no tail, every empty edge above
+        the largest stored one goes at once.
+        """
         if self.index.kind != "nat":
             return
-        head = self._head
-        n = self.head_size
+        edges: dict[int, list] = {}
+        for (i, j), v in self._head.items():
+            edges.setdefault(min(i, j), []).append(((i, j), v))
+        diags = self._diags
+        n = self.head_size if diags else max(edges, default=-1) + 1
         while n > 0:
-            edge = n - 1
-            ok = True
-            for (i, j), v in head.items():
-                if min(i, j) == edge and v != self._tail_value(j - i):
-                    ok = False
-                    break
-            if ok:
-                for d, v in self._diags.items():
-                    pos = (edge, edge + d) if d >= 0 else (edge - d, edge)
-                    if head.get(pos, 0) != v:
-                        ok = False
-                        break
-            if not ok:
+            edge = edges.get(n - 1, ())
+            if len(edge) != len(diags) or any(diags.get(j - i) != v for (i, j), v in edge):
                 break
-            head = {k: v for k, v in head.items() if min(k) != edge}
-            n = edge
+            n -= 1
+        head = {k: v for e, edge in edges.items() if e < n for k, v in edge}
         object.__setattr__(self, "_head", head)
         object.__setattr__(self, "head_size", n)
 
@@ -317,22 +319,15 @@ class PresentedMatrix:
                 head[k] = head.get(k, 0) + v
             return PresentedMatrix(self.index, self.head_size, head, diags)
         n = max(self.head_size, other.head_size)
-        w = max(self.band, other.band)
-        positions = set(self._head) | set(other._head)
-        offsets = set(self._diags) | set(other._diags)
-        for base in range(n + w):
-            for d in offsets:
-                j = base + d
-                if j >= 0 and min(base, j) < n:
-                    positions.add((base, j))
-                i = base - d
-                if i >= 0 and min(i, base) < n:
-                    positions.add((i, base))
         head = {}
-        for (i, j) in positions:
-            v = self.entry(i, j) + other.entry(i, j)
-            if v:
-                head[(i, j)] = v
+        for term in (self, other):
+            for i in range(n):
+                for j, v in term.row_entries(i):
+                    head[(i, j)] = head.get((i, j), 0) + v
+            for j in range(n):
+                for i, v in term.col_entries(j):
+                    if i >= n:
+                        head[(i, j)] = head.get((i, j), 0) + v
         return PresentedMatrix(self.index, n, head, diags)
 
     def scale(self, c: int) -> "PresentedMatrix":
@@ -367,21 +362,20 @@ class PresentedMatrix:
             other.head_size + other.band,
             other.head_extent(),
         )
-        positions: set[tuple[int, int]] = set()
-        for i in range(m):
-            for k, _ in self.row_entries(i):
-                for j, _ in other.row_entries(k):
-                    positions.add((i, j))
-        for j in range(m):
-            for k, _ in other.col_entries(j):
-                for i, _ in self.col_entries(k):
-                    positions.add((i, j))
         head = {}
-        for (i, j) in positions:
-            if min(i, j) < m:
-                v = sum(av * other.entry(k, j) for k, av in self.row_entries(i))
-                if v:
-                    head[(i, j)] = v
+        rows_b = [list(other.row_entries(k)) for k in range(m + self.band)]
+        for i in range(m):
+            for k, a in self.row_entries(i):
+                for j, b in rows_b[k]:
+                    head[(i, j)] = head.get((i, j), 0) + a * b
+        # rows i >= m of self are pure tail, so below the head block the
+        # product needs only self's diagonals against other's columns
+        for j in range(m):
+            for k, b in other.col_entries(j):
+                for d, a in self._diags.items():
+                    i = k - d
+                    if i >= m:
+                        head[(i, j)] = head.get((i, j), 0) + a * b
         return PresentedMatrix(self.index, m, head, diags)
 
     def poly_eval(self, coeffs: Iterable[int]) -> "PresentedMatrix":

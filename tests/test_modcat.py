@@ -25,6 +25,7 @@ from sl2cat.modcat import (
     subalgebra_type,
     to_simples_basis,
 )
+from sl2cat.obstruction import solve_feasibility
 from sl2cat.presented import IndexSet, PresentedMatrix
 
 import refimpl
@@ -197,6 +198,16 @@ def test_cinf_is_feasible_at_depth_two():
     report = socle_top_feasibility(catalog("Cinf"), 2)
     assert report.status == "SAT"
     json.dumps(report.to_json())
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_obstruction_report_ignores_head_storage_order(name):
+    f1 = catalog(name).f1
+    entries, diagonals = f1.head_entries(), sorted(f1.diagonals().items())
+    forward = PresentedMatrix(f1.index, f1.head_size, entries, dict(diagonals))
+    backward = PresentedMatrix(f1.index, f1.head_size, entries[::-1], dict(diagonals[::-1]))
+    for depth in range(1, 5):
+        assert solve_feasibility(forward, depth) == solve_feasibility(backward, depth), depth
 
 
 def test_schur_dimension_knob_evades_the_obstruction():

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2cat.fusion import r_poly
+from sl2cat.modcat import catalog, catalog_names
 from sl2cat.presented import (
     IndexSet,
     PresentationError,
@@ -58,6 +61,20 @@ def test_fork_head_normalizes_to_size_one():
     ]
 
 
+def test_huge_declared_head_normalizes_at_once():
+    start = time.perf_counter()
+    assert PresentedMatrix(NAT, 10**9) == PresentedMatrix.zero(NAT)
+    doc = {
+        "index": "nat",
+        "head": {"size": 10**9, "entries": []},
+        "tail": {"band": 0, "diagonals": {}},
+    }
+    assert PresentedMatrix.from_json_dict(doc) == PresentedMatrix.zero(NAT)
+    sparse = PresentedMatrix(NAT, 10**9, {(3, 10**6): 2})
+    assert sparse.head_size == 4 and sparse.entry(3, 10**6) == 2
+    assert time.perf_counter() - start < 1.0
+
+
 def test_rejects_entry_outside_head_region():
     with pytest.raises(PresentationError):
         PresentedMatrix(NAT, head_size=1, head={(2, 3): 5}, diagonals={})
@@ -99,40 +116,98 @@ def test_poly_eval_shifts_support():
 
 
 small_nat_matrices = st.builds(
-    lambda head, diags: PresentedMatrix(
+    lambda size, head, diags: PresentedMatrix(
         NAT,
-        head_size=3,
-        head={k: v for k, v in head.items() if min(k) < 3},
+        head_size=size,
+        head={k: v for k, v in head.items() if min(k) < size},
         diagonals=diags,
     ),
+    st.integers(0, 5),
     st.dictionaries(
-        st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(-3, 3), max_size=6
+        st.tuples(st.integers(0, 7), st.integers(0, 7)), st.integers(-3, 3), max_size=10
     ),
-    st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=5),
+    st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=5),
+)
+
+small_int_matrices = st.builds(
+    lambda diags: PresentedMatrix(INT, diagonals=diags),
+    st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=5),
 )
 
 
-def dense_window(m: PresentedMatrix, n: int) -> list[list[int]]:
-    return [[m.entry(i, j) for j in range(n)] for i in range(n)]
+def dense_window(m: PresentedMatrix, n: int, lo: int = 0) -> list[list[int]]:
+    return [[m.entry(i, j) for j in range(lo, lo + n)] for i in range(lo, lo + n)]
 
 
-@settings(max_examples=120, deadline=None)
+def past_the_tail(m: PresentedMatrix) -> int:
+    """A window reaching a full band past the first row ruled by the tail alone."""
+    return max(m.head_size + m.band, m.head_extent()) + m.band + 1
+
+
+def crop(dense: list[list[int]], lo: int, n: int) -> list[list[int]]:
+    return [row[lo:lo + n] for row in dense[lo:lo + n]]
+
+
+@settings(max_examples=200, deadline=None)
 @given(small_nat_matrices, small_nat_matrices)
 def test_mul_matches_dense_oracle(a, b):
     prod = a.mul(b)
-    window = 6
-    big = window + 16  # beyond every head extent and band in the strategy
+    window = past_the_tail(prod)
+    big = window + a.band + a.head_extent()  # wide enough for exact dense rows
     dense = refimpl.mat_mul(dense_window(a, big), dense_window(b, big))
-    got = dense_window(prod, window)
-    assert got == [row[:window] for row in dense[:window]]
+    assert dense_window(prod, window) == crop(dense, 0, window)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(small_nat_matrices, small_nat_matrices)
 def test_add_matches_dense_oracle(a, b):
     total = a.add(b)
-    dense = refimpl.mat_add(dense_window(a, 9), dense_window(b, 9))
-    assert dense_window(total, 9) == dense
+    window = max(past_the_tail(total), past_the_tail(a), past_the_tail(b))
+    dense = refimpl.mat_add(dense_window(a, window), dense_window(b, window))
+    assert dense_window(total, window) == dense
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_int_matrices, small_int_matrices)
+def test_int_mul_and_add_match_dense_oracle(a, b):
+    window, pad = 8, a.band
+    dense = refimpl.mat_mul(
+        dense_window(a, window + 2 * pad, -4 - pad), dense_window(b, window + 2 * pad, -4 - pad)
+    )
+    assert dense_window(a.mul(b), window, -4) == crop(dense, pad, window)
+    assert dense_window(a.add(b), window, -4) == refimpl.mat_add(
+        dense_window(a, window, -4), dense_window(b, window, -4)
+    )
+
+
+def dense_pair(n: int):
+    rows = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+    return st.tuples(rows, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5).flatmap(dense_pair))
+def test_finite_mul_and_add_match_dense_oracle(pair):
+    x, y = pair
+    a, b = PresentedMatrix.from_dense(x), PresentedMatrix.from_dense(y)
+    assert a.mul(b).truncate(len(x)) == refimpl.mat_mul(x, y)
+    assert a.add(b).truncate(len(x)) == refimpl.mat_add(x, y)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_poly_eval_of_r_poly_matches_dense_oracle(name):
+    f1 = catalog(name).f1
+    for k in range(9):
+        fk = f1.poly_eval(r_poly(k))
+        if f1.index.kind == "int":
+            window, pad = 8, k * f1.band
+            dense = refimpl.mat_poly(r_poly(k), dense_window(f1, window + 2 * pad, -4 - pad))
+            assert dense_window(fk, window, -4) == crop(dense, pad, window), (name, k)
+        else:
+            window = past_the_tail(fk)
+            big = window + k * f1.band + f1.head_extent()
+            dense = refimpl.mat_poly(r_poly(k), dense_window(f1, big))
+            assert dense_window(fk, window) == crop(dense, 0, window), (name, k)
 
 
 @settings(max_examples=100, deadline=None)
