@@ -17,11 +17,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, modcat, oracles
-from .dynkin import Classification, GCMError, classify, gcm_of, graph_of
-from .kernels import reachable, undirected
-from .modcat import ModuleCategoryModel, PreconditionFailed, Transitivity
+from .dynkin import Classification, GCMError, classify, classify_components, graph_of
+from .modcat import ModuleCategoryModel, PreconditionFailed
 from .oracles import NamedOObject, NotInCatalog, SlCharacter
-from .presented import PresentationError, PresentedMatrix, PresentedVector
+from .presented import PresentationError, PresentedMatrix
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -72,20 +71,9 @@ def _load_model(spec: str) -> ModuleCategoryModel:
         raise CliError(f"{spec!r} is neither a catalog model ({names}) nor a file")
     doc = _load_json_file(spec)
     try:
-        if isinstance(doc, dict) and "f1" in doc:
-            return ModuleCategoryModel(
-                name=doc.get("name", Path(spec).stem),
-                basis=doc.get("basis", "projectives"),
-                f1=PresentedMatrix.from_json_dict(doc["f1"]),
-                provenance=doc.get("provenance", f"loaded from {spec}"),
-            )
-        return ModuleCategoryModel(
-            name=Path(spec).stem,
-            basis="projectives",
-            f1=PresentedMatrix.from_json_dict(doc),
-            provenance=f"loaded from {spec}",
-        )
-    except (PresentationError, ValueError) as exc:
+        return ModuleCategoryModel.from_json(doc, name=Path(spec).stem,
+                                             provenance=f"loaded from {spec}")
+    except ValueError as exc:  # PresentationError included
         raise CliError(f"{spec}: {exc}") from exc
 
 
@@ -202,34 +190,11 @@ def _format_character(c: SlCharacter) -> str:
 # -- classify ------------------------------------------------------------------------
 
 
-def _connected_components(dense: list[list[int]]) -> list[list[int]]:
-    neighbours = undirected(dense)
-    components: list[list[int]] = []
-    seen: set[int] = set()
-    for start in range(len(dense)):
-        if start not in seen:
-            comp = reachable(start, neighbours)
-            seen |= comp
-            components.append(sorted(comp))
-    return components
-
-
-def _classify_components(gcm: PresentedMatrix) -> list[tuple[list[int], Classification]]:
-    if gcm.index.kind != "finite":
-        raise CliError("componentwise classification needs a finite matrix")
-    dense = gcm.truncate(gcm.index.size)
-    out = []
-    for comp in _connected_components(dense):
-        sub = [[dense[i][j] for j in comp] for i in comp]
-        out.append((comp, classify(PresentedMatrix.from_dense(sub))))
-    return out
-
-
 def _cmd_classify(args) -> int:
     gcm = _load_gcm(args.gcm)
     try:
         if args.components:
-            pieces = _classify_components(gcm)
+            pieces = classify_components(gcm)
             if args.json:
                 _print_json({"components": [
                     {"vertices": comp, "display": _display_line(res), **res.to_json()}
@@ -302,156 +267,22 @@ def _cmd_transitive(args) -> int:
 
 # -- verify-catalog ----------------------------------------------------------------------
 
-_EXPECTED_FAMILY = {
-    "Ainf": "Ainf", "AinfInf": "Ainfinf", "BinfDual": "Binf",
-    "Cinf": "Cinf", "Dinf": "Dinf", "Tinf": "Tinf",
-}
-_EXPECTED_SYMMETRY = {
-    "Ainf": True, "AinfInf": True, "BinfDual": False,
-    "Cinf": False, "Dinf": True, "Tinf": True,
-}
-_DERIVATION_ROUTES = {
-    "Ainf": ("A_inf_tilting", "N6_borel"),
-    "AinfInf": ("A_infinf_generic", "N5_borel"),
-    "Cinf": ("C_inf_projinj",),
-}
-_RELATION_ROUTES = {"BinfDual": "takiff", "Dinf": "dinf", "Tinf": "schrodinger"}
-_RESTRICTION_SOLVES = {
-    "BinfDual": ("takiff", False),
-    "Dinf": ("dinf", True),
-    "Tinf": ("schrodinger", False),
-}
-
-
-def _catalog_checks(name: str) -> list[dict]:
-    m = modcat.catalog(name)
-    checks: list[dict] = []
-    state: dict = {}
-
-    def classification() -> Classification:
-        if "classify" not in state:
-            state["classify"] = modcat.classify_type(m)
-        return state["classify"]
-
-    def check(label: str, fn) -> None:
-        try:
-            ok, detail = fn()
-        except Exception as exc:  # any failure is a verification failure
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        doc = {"name": label, "status": "ok" if ok else "fail"}
-        if detail:
-            doc["detail"] = detail
-        checks.append(doc)
-
-    def round_trip():
-        doc = json.loads(json.dumps(m.to_json(), sort_keys=True))
-        rebuilt = ModuleCategoryModel(
-            doc["name"], doc["basis"],
-            PresentedMatrix.from_json_dict(doc["f1"]), doc["provenance"])
-        return rebuilt == m, "bit-exact" if rebuilt == m else "differs after JSON"
-
-    def categorifiable():
-        ok, first = modcat.check_categorifiability(m, 12)
-        return ok, "up to F_12" if ok else f"negative entry in F_{first}"
-
-    def transitive():
-        verdict = modcat.is_transitive(m)
-        return verdict is Transitivity.YES, verdict.value
-
-    def classify_check():
-        result = classification()
-        expected = _EXPECTED_FAMILY[name]
-        ok = (result.kind == "infinite" and result.dtype is not None
-              and result.dtype.family == expected)
-        detail = result.dtype.display() if ok else f"got {result.kind}"
-        return ok, detail
-
-    def null_vector():
-        result = classification()
-        doc = result.certificate.get("null_vector")
-        if not isinstance(doc, dict):
-            return False, "no null vector in the certificate"
-        vec = PresentedVector.from_json_dict(doc, m.f1.index)
-        gcm = gcm_of(m.projective_matrix())
-        ok = vec.is_strictly_positive() and gcm.apply(vec).is_zero()
-        return ok, "positive and annihilated" if ok else "certificate fails"
-
-    def symmetry():
-        got = modcat.semisimplicity_symmetry_check(m)
-        ok = got == _EXPECTED_SYMMETRY[name]
-        return ok, "symmetric" if got else "asymmetric"
-
-    def obstruction():
-        report = modcat.socle_top_feasibility(m, 2)
-        expected = "UNSAT" if name == "BinfDual" else "SAT"
-        ok = report.status == expected
-        if ok and _EXPECTED_SYMMETRY[name]:
-            ok = all(e["top"] == e["socle"] for e in report.witness)
-            return ok, f"{report.status}, semisimple witness" if ok else "witness not semisimple"
-        return ok, report.status
-
-    check("categorifiable", categorifiable)
-    check("classify", classify_check)
-    check("null-vector", null_vector)
-    check("obstruction", obstruction)
-    for realization in _DERIVATION_ROUTES.get(name, ()):
-        def derived(r=realization):
-            got = oracles.derive_catalog_matrix(r)
-            return got == m.f1, "bit-exact" if got == m.f1 else "matrix differs"
-        check(f"oracle:{realization}", derived)
-    if name == "BinfDual":
-        def dual_route():
-            got = modcat.catalog("Cinf").f1.transpose()
-            return got == m.f1, "bit-exact" if got == m.f1 else "matrix differs"
-        check("oracle:transpose-of-Cinf", dual_route)
-    if name in _RELATION_ROUTES:
-        def relation_route(system=_RELATION_ROUTES[name]):
-            got = oracles.restriction_action_matrix(system)
-            return got == m.f1, "bit-exact" if got == m.f1 else "matrix differs"
-        check(f"oracle:{_RELATION_ROUTES[name]}-relations", relation_route)
-    if name in _RESTRICTION_SOLVES:
-        def restriction_solve(pair=_RESTRICTION_SOLVES[name]):
-            system, assume = pair
-            report = oracles.restriction_consistency_solve(system, 20, assume)
-            ok = report.status == "consistent"
-            return ok, f"{system} {report.status}"
-        check("restrictions", restriction_solve)
-    check("round-trip", round_trip)
-    check("symmetry", symmetry)
-    check("transitive", transitive)
-    return sorted(checks, key=lambda c: c["name"])
-
 
 def _cmd_verify_catalog(args) -> int:
-    fixtures: dict[str, dict] = {}
-    total = failures = 0
-    for name in modcat.catalog_names():
-        checks = _catalog_checks(name)
-        ok = all(c["status"] == "ok" for c in checks)
-        shown_type = next(
-            (c.get("detail") for c in checks
-             if c["name"] == "classify" and c["status"] == "ok"), None)
-        fixtures[name] = {
-            "checks": checks,
-            "status": "ok" if ok else "fail",
-            "type": shown_type,
-        }
-        total += len(checks)
-        failures += sum(c["status"] != "ok" for c in checks)
-    status = "ok" if failures == 0 else "fail"
+    report = modcat.verify_catalog()
     if args.json:
-        _print_json({"checks_total": total, "failures": failures,
-                     "fixtures": fixtures, "status": status})
+        _print_json(report)
     else:
-        for name, entry in fixtures.items():
+        for name, entry in report["fixtures"].items():
             mark = "ok  " if entry["status"] == "ok" else "FAIL"
             shown = entry["type"] or "-"
             print(f"{mark} {name:<9} type={shown:<10} {len(entry['checks'])} checks")
             for c in entry["checks"]:
                 if c["status"] != "ok":
                     print(f"     fail {c['name']}: {c.get('detail', '')}")
-        print(f"catalog: {status} ({total} checks, {failures} failures)")
-    return EXIT_OK if status == "ok" else EXIT_MISMATCH
+        print(f"catalog: {report['status']} ({report['checks_total']} checks, "
+              f"{report['failures']} failures)")
+    return EXIT_OK if report["status"] == "ok" else EXIT_MISMATCH
 
 
 # -- obstruction --------------------------------------------------------------------------

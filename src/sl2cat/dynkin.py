@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .fusion import r_poly
+from .fusion import action
 from .kernels import Echelon, leading_minors, reachable, undirected
 from .presented import IndexSet, PresentedMatrix, PresentedVector
 
@@ -38,6 +38,7 @@ __all__ = [
     "find_positive_null_vector",
     "classify_finite",
     "classify",
+    "classify_components",
 ]
 
 
@@ -371,7 +372,7 @@ def check_coxeter_annihilation(dtype: DynkinType) -> bool:
     """R_{h-1} vanishes on the adjacency matrix of the classical template."""
     adjacency = graph_of(template(dtype))
     h = coxeter_number(dtype)
-    return adjacency.poly_eval(r_poly(h - 1)).is_zero()
+    return action(adjacency, h - 1).is_zero()
 
 
 # -- exact linear algebra helpers ---------------------------------------------
@@ -629,3 +630,20 @@ def classify(gcm: PresentedMatrix) -> Classification:
         return _unrecognized("positive null vector but matches no infinite template")
     certificate = {"null_vector": null.to_json_dict(), "template": dtype.family}
     return Classification("infinite", dtype, certificate)
+
+
+def classify_components(gcm: PresentedMatrix) -> list[tuple[list[int], Classification]]:
+    """(sorted vertices, classification) of each connected component of a finite GCM."""
+    if gcm.index.kind != "finite":
+        raise GCMError("componentwise classification needs a finite matrix")
+    dense = gcm.truncate(gcm.index.size)
+    neighbours = undirected(dense)
+    out: list[tuple[list[int], Classification]] = []
+    seen: set[int] = set()
+    for start in range(len(dense)):
+        if start not in seen:
+            comp = sorted(reachable(start, neighbours))
+            seen.update(comp)
+            sub = [[dense[i][j] for j in comp] for i in comp]
+            out.append((comp, classify(PresentedMatrix.from_dense(sub))))
+    return out

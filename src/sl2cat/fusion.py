@@ -16,7 +16,10 @@ All coefficients are arbitrary precision integers and may be negative
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
+
+from .presented import PresentedMatrix
 
 __all__ = [
     "SimpleIndex",
@@ -24,6 +27,7 @@ __all__ = [
     "FusionElement",
     "simple",
     "r_poly",
+    "action",
     "poly_eval_int",
     "tensor",
     "fusion_to_poly",
@@ -162,6 +166,12 @@ def r_poly(i: int) -> UltrasphericalPoly:
         nxt = [s - p for s, p in zip(shifted, list(prev) + [0] * (len(shifted) - len(prev)))]
         prev, cur = cur, nxt
     return tuple(cur)
+
+
+@lru_cache(maxsize=512)
+def action(f1: PresentedMatrix, i: int) -> PresentedMatrix:
+    """F_i = R_i(F_1): tensoring with L(i); the one derivation, cached for every caller."""
+    return f1.poly_eval(r_poly(i))
 
 
 def poly_eval_int(p: Iterable[int], x: int) -> int:

@@ -17,14 +17,15 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib import resources
 
+from . import oracles
 from .dynkin import Classification, DynkinType, GCMError, classify, gcm_of
-from .fusion import r_poly
+from .fusion import action
 from .kernels import reachable
 from .obstruction import ObstructionReport, PreconditionFailed, solve_feasibility
-from .presented import PresentedMatrix
+from .presented import PresentedMatrix, PresentedVector
 
 __all__ = [
     "ModuleCategoryModel",
@@ -34,6 +35,7 @@ __all__ = [
     "ObstructionReport",
     "catalog",
     "catalog_names",
+    "verify_catalog",
     "derive_action",
     "check_categorifiability",
     "action_graph",
@@ -70,6 +72,22 @@ class ModuleCategoryModel:
         return {"name": self.name, "basis": self.basis,
                 "provenance": self.provenance, "f1": self.f1.to_json_dict()}
 
+    @classmethod
+    def from_json(cls, doc, name: str = "", provenance: str = "") -> "ModuleCategoryModel":
+        """Read a model document, or a bare matrix document in the projectives
+        basis; ``name`` and ``provenance`` fill fields the document leaves out."""
+        if not (isinstance(doc, dict) and "f1" in doc):
+            return cls(name, "projectives", PresentedMatrix.from_json_dict(doc), provenance)
+        unknown = set(doc) - {"name", "basis", "f1", "provenance"}
+        if unknown:
+            raise ValueError(f"unknown model fields {sorted(unknown)}")
+        name, provenance = doc.get("name", name), doc.get("provenance", provenance)
+        for field, value in (("name", name), ("provenance", provenance)):
+            if not isinstance(value, str):
+                raise ValueError(f"model {field} must be a string, got {value!r}")
+        return cls(name, doc.get("basis", "projectives"),
+                   PresentedMatrix.from_json_dict(doc["f1"]), provenance)
+
 
 class Transitivity(enum.Enum):
     YES = "yes"
@@ -83,16 +101,8 @@ class Transitivity(enum.Enum):
 @lru_cache(maxsize=1)
 def _load_catalog() -> dict:
     raw = resources.files("sl2cat").joinpath("fixtures/catalog.json").read_text("utf-8")
-    data = json.loads(raw)
-    out = {}
-    for name, body in data.items():
-        out[name] = ModuleCategoryModel(
-            name=name,
-            basis=body["basis"],
-            f1=PresentedMatrix.from_json_dict(body["f1"]),
-            provenance=body["provenance"],
-        )
-    return out
+    return {name: ModuleCategoryModel.from_json(body, name=name)
+            for name, body in json.loads(raw).items()}
 
 
 def catalog_names() -> list[str]:
@@ -110,16 +120,11 @@ def catalog(name: str) -> ModuleCategoryModel:
 # -- derived actions ------------------------------------------------------------
 
 
-@lru_cache(maxsize=512)
-def _derive(f1: PresentedMatrix, i: int) -> PresentedMatrix:
-    return f1.poly_eval(r_poly(i))
-
-
 def derive_action(m: ModuleCategoryModel, i: int) -> PresentedMatrix:
     """Matrix of tensoring with the (i+1)-dimensional simple."""
     if i < 0:
         raise ValueError("index must be >= 0")
-    return _derive(m.f1, i)
+    return action(m.f1, i)
 
 
 def check_categorifiability(m: ModuleCategoryModel, upto: int = 12) -> tuple[bool, int | None]:
@@ -240,6 +245,145 @@ def socle_top_feasibility(m: ModuleCategoryModel, depth: int, schur_dim: int = 1
         raise PreconditionFailed("feasibility solver expects the projectives basis")
     return solve_feasibility(m.f1, depth, schur_dim=schur_dim,
                              node_budget=node_budget, max_depth=max_depth)
+
+
+# -- catalog verification -------------------------------------------------------------
+
+_EXPECTED_FAMILY = {
+    "Ainf": "Ainf", "AinfInf": "Ainfinf", "BinfDual": "Binf",
+    "Cinf": "Cinf", "Dinf": "Dinf", "Tinf": "Tinf",
+}
+_EXPECTED_SYMMETRY = {
+    "Ainf": True, "AinfInf": True, "BinfDual": False,
+    "Cinf": False, "Dinf": True, "Tinf": True,
+}
+_DERIVATION_ROUTES = {
+    "Ainf": ("A_inf_tilting", "N6_borel"),
+    "AinfInf": ("A_infinf_generic", "N5_borel"),
+    "Cinf": ("C_inf_projinj",),
+}
+_RELATION_ROUTES = {"BinfDual": "takiff", "Dinf": "dinf", "Tinf": "schrodinger"}
+_RESTRICTION_SOLVES = {
+    "BinfDual": ("takiff", False),
+    "Dinf": ("dinf", True),
+    "Tinf": ("schrodinger", False),
+}
+
+
+def _catalog_checks(name: str) -> list[dict]:
+    m = catalog(name)
+    checks: list[dict] = []
+    classification = cache(lambda: classify_type(m))
+
+    def check(label: str, fn) -> None:
+        try:
+            ok, detail = fn()
+        except Exception as exc:  # any failure is a verification failure
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        doc = {"name": label, "status": "ok" if ok else "fail"}
+        if detail:
+            doc["detail"] = detail
+        checks.append(doc)
+
+    def route(label: str, build) -> None:
+        # an independent construction must reproduce the fixture's F_1 exactly
+        def same_f1():
+            ok = build() == m.f1
+            return ok, "bit-exact" if ok else "matrix differs"
+        check(label, same_f1)
+
+    def round_trip():
+        doc = json.loads(json.dumps(m.to_json(), sort_keys=True))
+        rebuilt = ModuleCategoryModel.from_json(doc)
+        return rebuilt == m, "bit-exact" if rebuilt == m else "differs after JSON"
+
+    def categorifiable():
+        ok, first = check_categorifiability(m, 12)
+        return ok, "up to F_12" if ok else f"negative entry in F_{first}"
+
+    def transitive():
+        verdict = is_transitive(m)
+        return verdict is Transitivity.YES, verdict.value
+
+    def classify_check():
+        result = classification()
+        expected = _EXPECTED_FAMILY[name]
+        ok = (result.kind == "infinite" and result.dtype is not None
+              and result.dtype.family == expected)
+        detail = result.dtype.display() if ok else f"got {result.kind}"
+        return ok, detail
+
+    def null_vector():
+        result = classification()
+        doc = result.certificate.get("null_vector")
+        if not isinstance(doc, dict):
+            return False, "no null vector in the certificate"
+        vec = PresentedVector.from_json_dict(doc, m.f1.index)
+        gcm = gcm_of(m.projective_matrix())
+        ok = vec.is_strictly_positive() and gcm.apply(vec).is_zero()
+        return ok, "positive and annihilated" if ok else "certificate fails"
+
+    def symmetry():
+        got = semisimplicity_symmetry_check(m)
+        ok = got == _EXPECTED_SYMMETRY[name]
+        return ok, "symmetric" if got else "asymmetric"
+
+    def obstruction():
+        report = socle_top_feasibility(m, 2)
+        expected = "UNSAT" if name == "BinfDual" else "SAT"
+        ok = report.status == expected
+        if ok and _EXPECTED_SYMMETRY[name]:
+            ok = all(e["top"] == e["socle"] for e in report.witness)
+            return ok, f"{report.status}, semisimple witness" if ok else "witness not semisimple"
+        return ok, report.status
+
+    check("categorifiable", categorifiable)
+    check("classify", classify_check)
+    check("null-vector", null_vector)
+    check("obstruction", obstruction)
+    for realization in _DERIVATION_ROUTES.get(name, ()):
+        route(f"oracle:{realization}", lambda r=realization: oracles.derive_catalog_matrix(r))
+    if name == "BinfDual":
+        route("oracle:transpose-of-Cinf", lambda: catalog("Cinf").f1.transpose())
+    if name in _RELATION_ROUTES:
+        system = _RELATION_ROUTES[name]
+        route(f"oracle:{system}-relations", lambda: oracles.restriction_action_matrix(system))
+    if name in _RESTRICTION_SOLVES:
+        def restriction_solve(pair=_RESTRICTION_SOLVES[name]):
+            system, assume = pair
+            report = oracles.restriction_consistency_solve(system, 20, assume)
+            ok = report.status == "consistent"
+            return ok, f"{system} {report.status}"
+        check("restrictions", restriction_solve)
+    check("round-trip", round_trip)
+    check("symmetry", symmetry)
+    check("transitive", transitive)
+    return sorted(checks, key=lambda c: c["name"])
+
+
+def verify_catalog() -> dict:
+    """Recompute every catalog fixture from the oracles and check all invariants.
+
+    Returns the catalog-report document (catalog-report.schema.json).  A
+    check that raises is reported as failed with a ``raised ...`` detail.
+    """
+    fixtures: dict[str, dict] = {}
+    total = failures = 0
+    for name in catalog_names():
+        checks = _catalog_checks(name)
+        ok = all(c["status"] == "ok" for c in checks)
+        shown_type = next(
+            (c.get("detail") for c in checks
+             if c["name"] == "classify" and c["status"] == "ok"), None)
+        fixtures[name] = {
+            "checks": checks,
+            "status": "ok" if ok else "fail",
+            "type": shown_type,
+        }
+        total += len(checks)
+        failures += sum(c["status"] != "ok" for c in checks)
+    return {"checks_total": total, "failures": failures, "fixtures": fixtures,
+            "status": "ok" if failures == 0 else "fail"}
 
 
 # -- case-dispatch predictions ------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fusion import r_poly
+from .fusion import action
 from .presented import PresentedMatrix
 
 __all__ = ["ObstructionReport", "PreconditionFailed", "solve_feasibility"]
@@ -180,21 +180,22 @@ def _cg_support(a: int, b: int) -> range:
     return range(abs(a - b), a + b + 1, 2)
 
 
-def _object_window(ms: PresentedMatrix, depth: int) -> list[int]:
-    if ms.index.kind == "int":
+def _object_window(f1: PresentedMatrix, depth: int) -> list[int]:
+    if f1.index.kind == "int":
         return list(range(-depth, depth + 1))
-    if ms.index.kind == "finite":
-        return list(range(min(depth + 1, ms.index.size)))
+    if f1.index.kind == "finite":
+        return list(range(min(depth + 1, f1.index.size)))
     return list(range(depth + 1))
 
 
-def _compositions(ms: PresentedMatrix, depth: int) -> dict:
+def _compositions(f1: PresentedMatrix, depth: int) -> dict:
+    # [F_a S_j : S_i] is entry (i, j) of R_a(F_1^T) = R_a(F_1)^T, i.e. row j of F_a
     comps: dict[tuple[int, int], dict[int, int]] = {}
     for a in range(depth + 1):
-        mat = ms.poly_eval(r_poly(a))
-        for j in _object_window(ms, depth):
+        mat = action(f1, a)
+        for j in _object_window(f1, depth):
             col = {}  # ascending factors: rule order and search ties ignore storage order
-            for i, v in sorted(mat.col_entries(j)):
+            for i, v in sorted(mat.row_entries(j)):
                 if v < 0:
                     raise PreconditionFailed(
                         f"composition multiplicity [F_{a} S_{j} : S_{i}] = {v} is negative"
@@ -207,20 +208,6 @@ def _compositions(ms: PresentedMatrix, depth: int) -> dict:
 
 def _objects_of(comps: dict) -> list[int]:
     return sorted({j for _, j in comps})
-
-
-def _semisimple_witness(comps: dict, depth: int) -> list:
-    out = []
-    for a in range(1, depth + 1):
-        for j in _objects_of(comps):
-            comp = comps[(a, j)]
-            out.append({
-                "degree": a,
-                "object": j,
-                "top": {str(k): v for k, v in sorted(comp.items())},
-                "socle": {str(k): v for k, v in sorted(comp.items())},
-            })
-    return out
 
 
 def _witness_from(state: _State, comps: dict, depth: int) -> list:
@@ -360,8 +347,7 @@ def solve_feasibility(f1: PresentedMatrix, depth: int, schur_dim: int = 1,
         raise ValueError("depth must be >= 1")
     if depth > max_depth:
         raise ValueError(f"depth {depth} exceeds the exhaustive-search cap {max_depth}")
-    ms = f1.transpose()
-    comps = _compositions(ms, depth)
+    comps = _compositions(f1, depth)
 
     def fresh_state(trace: list | None) -> _State:
         domains = {}
@@ -391,7 +377,7 @@ def solve_feasibility(f1: PresentedMatrix, depth: int, schur_dim: int = 1,
                 "identity": "the action matrix is symmetric; top = socle = all factors",
             }]
             return ObstructionReport("SAT", depth, schur_dim,
-                                     _semisimple_witness(comps, depth), trace)
+                                     _witness_from(state, comps, depth), trace)
         except _Violation:
             pass  # fall through to the general engine
 

@@ -184,6 +184,32 @@ def test_model_spec_neither_name_nor_file(capsys):
     assert "neither a catalog model" in err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("name", 5, "model name must be a string, got 5"),
+    ("provenance", 7, "model provenance must be a string, got 7"),
+    ("colour", "red", "unknown model fields ['colour']"),
+])
+def test_model_file_outside_the_schema_exit_3(capsys, tmp_path, field, value, message):
+    path = tmp_path / "model.json"
+    f1 = PresentedMatrix.from_dense([[0, 1], [1, 0]]).to_json_dict()
+    path.write_text(json.dumps({"f1": f1, field: value}))
+    for verb in (["derive", "--upto", "2", "--json"], ["transitive"]):
+        code, out, err = run(capsys, verb[0], "--model", str(path), *verb[1:])
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {path}: {message}\n"
+
+
+def test_model_file_without_name_uses_the_file_stem(capsys, registry, tmp_path):
+    path = tmp_path / "swap.json"
+    f1 = PresentedMatrix.from_dense([[0, 1], [1, 0]]).to_json_dict()
+    path.write_text(json.dumps({"f1": f1}))
+    code, doc = run_json(capsys, "derive", "--model", str(path), "--upto", "1", "--json")
+    assert code == 0
+    validate(registry, "derivation", doc)
+    assert (doc["model"], doc["basis"]) == ("swap", "projectives")
+
+
 # -- verify-catalog ----------------------------------------------------------------
 
 
@@ -191,6 +217,7 @@ def test_verify_catalog_green(capsys, registry):
     code, doc = run_json(capsys, "verify-catalog", "--json")
     assert code == 0
     validate(registry, "catalog-report", doc)
+    assert doc == modcat.verify_catalog()
     assert doc["status"] == "ok"
     assert doc["failures"] == 0
     assert sorted(doc["fixtures"]) == modcat.catalog_names()
@@ -224,6 +251,52 @@ def test_verify_catalog_checks_all_routes(capsys):
         for required in ("categorifiable", "classify", "null-vector",
                          "obstruction", "round-trip", "symmetry", "transitive"):
             assert required in checks
+
+
+@pytest.fixture
+def wrong_cinf(monkeypatch):
+    # Cinf's fixture replaced by its transpose, which is BinfDual's F_1
+    models = dict(modcat._load_catalog())
+    cinf = models["Cinf"]
+    models["Cinf"] = modcat.ModuleCategoryModel(cinf.name, cinf.basis, cinf.f1.transpose(),
+                                                cinf.provenance)
+    monkeypatch.setattr(modcat, "_load_catalog", lambda: models)
+
+
+def test_verify_catalog_reports_a_wrong_fixture(wrong_cinf, registry):
+    doc = modcat.verify_catalog()
+    validate(registry, "catalog-report", doc)
+    assert doc["status"] == "fail"
+    failed = {name: sorted(c["name"] for c in f["checks"] if c["status"] == "fail")
+              for name, f in doc["fixtures"].items() if f["status"] == "fail"}
+    assert failed == {"BinfDual": ["oracle:transpose-of-Cinf"],
+                      "Cinf": ["classify", "obstruction", "oracle:C_inf_projinj"]}
+    assert doc["failures"] == 4
+    assert doc["fixtures"]["Cinf"]["type"] is None
+
+
+def test_verify_catalog_cli_exits_4_on_a_wrong_fixture(wrong_cinf, capsys):
+    code, out, err = run(capsys, "verify-catalog")
+    assert code == 4
+    assert err == ""
+    lines = out.splitlines()
+    assert any(line.startswith("FAIL Cinf ") for line in lines)
+    assert "     fail oracle:C_inf_projinj: matrix differs" in lines
+    assert "     fail oracle:transpose-of-Cinf: matrix differs" in lines
+    assert lines[-1] == "catalog: fail (54 checks, 4 failures)"
+
+
+def test_verify_catalog_reports_a_raising_check(monkeypatch):
+    def broken(realization):
+        raise RuntimeError(f"no route {realization}")
+
+    monkeypatch.setattr(oracles, "derive_catalog_matrix", broken)
+    doc = modcat.verify_catalog()
+    checks = {c["name"]: c for c in doc["fixtures"]["Ainf"]["checks"]}
+    assert checks["oracle:N6_borel"] == {
+        "name": "oracle:N6_borel", "status": "fail",
+        "detail": "raised RuntimeError: no route N6_borel"}
+    assert doc["failures"] == 5  # two Ainf, two AinfInf and one Cinf route
 
 
 # -- relation-system action matrices ------------------------------------------------

@@ -14,6 +14,7 @@ from sl2cat.dynkin import (
     GCMError,
     check_coxeter_annihilation,
     classify,
+    classify_components,
     coxeter_number,
     find_positive_null_vector,
     gcm_of,
@@ -259,6 +260,23 @@ def test_unrecognized_outcomes():
     assert "connected" in disconnected.certificate["reason"]
     even_lattice = classify(PresentedMatrix(IndexSet.int_(), diagonals={0: 2, -2: -1, 2: -1}))
     assert even_lattice.kind == "unrecognized"
+
+
+def test_classify_components_of_a_disconnected_gcm():
+    # A_2 on {0, 2}, affine A~12 on {1, 3}, A_1 on {4}
+    gcm = finite_gcm([[2, 0, -1, 0, 0], [0, 2, 0, -2, 0], [-1, 0, 2, 0, 0],
+                      [0, -2, 0, 2, 0], [0, 0, 0, 0, 2]])
+    pieces = classify_components(gcm)
+    assert [comp for comp, _ in pieces] == [[0, 2], [1, 3], [4]]
+    assert [(res.kind, res.dtype.family, res.dtype.rank) for _, res in pieces] == [
+        ("classical", "A", 2), ("affine", "At12", 1), ("classical", "A", 1)]
+    assert classify_components(finite_gcm([[2, -1], [-1, 2]]))[0][1] == classify(
+        finite_gcm([[2, -1], [-1, 2]]))
+
+
+def test_classify_components_needs_a_finite_gcm():
+    with pytest.raises(GCMError, match="componentwise classification needs a finite matrix"):
+        classify_components(template(DynkinType("infinite", "Dinf")))
 
 
 def test_gcm_axiom_violations_raise():

@@ -60,6 +60,35 @@ def test_catalog_fixture_round_trip_is_bit_exact():
         assert again.to_json_dict() == m.f1.to_json_dict()
 
 
+@pytest.mark.parametrize("name", catalog_names())
+def test_model_from_json_round_trips_catalog_and_bare_matrix(name):
+    m = catalog(name)
+    assert ModuleCategoryModel.from_json(json.loads(json.dumps(m.to_json()))) == m
+    bare = json.loads(json.dumps(m.f1.to_json_dict()))
+    assert ModuleCategoryModel.from_json(bare, name="file", provenance="loaded") == \
+        ModuleCategoryModel("file", "projectives", m.f1, "loaded")
+
+
+def test_model_from_json_defaults_for_omitted_fields():
+    f1 = finite_model([[0, 1], [1, 0]]).f1
+    m = ModuleCategoryModel.from_json({"f1": f1.to_json_dict()}, name="stem", provenance="p")
+    assert m == ModuleCategoryModel("stem", "projectives", f1, "p")
+    m = ModuleCategoryModel.from_json({"f1": f1.to_json_dict(), "basis": "simples", "name": "x"})
+    assert m == ModuleCategoryModel("x", "simples", f1, "")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("name", 5, "model name must be a string"),
+    ("provenance", 7, "model provenance must be a string"),
+    ("name", None, "model name must be a string"),
+    ("colour", "red", r"unknown model fields \['colour'\]"),
+])
+def test_model_from_json_enforces_the_schema(field, value, message):
+    doc = {"f1": finite_model([[0, 1], [1, 0]]).f1.to_json_dict(), field: value}
+    with pytest.raises(ValueError, match=message):
+        ModuleCategoryModel.from_json(doc)
+
+
 def test_dinf_fixture_matches_displayed_head_block():
     # the displayed form: 3x3 head [[0,0,1],[0,0,1],[1,1,0]] glued to the
     # tridiagonal ray continuing from vertex 2
@@ -101,6 +130,14 @@ def test_poly_eval_matches_recurrence_on_catalog():
             cur = f1.mul(prev1).add(prev2.scale(-1))
             assert cur == f1.poly_eval(r_poly(i)), (name, i)
             prev2, prev1 = prev1, cur
+
+
+def test_derived_action_of_the_transpose_is_the_transpose():
+    # the obstruction solver reads simples-basis compositions from rows of F_a
+    for name in catalog_names():
+        m = catalog(name)
+        for a in range(7):
+            assert derive_action(m, a).transpose() == m.f1.transpose().poly_eval(r_poly(a)), (name, a)
 
 
 def test_ainf_first_column_is_a_single_one():
