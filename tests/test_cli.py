@@ -170,6 +170,13 @@ def test_derive_simples_basis(capsys, registry):
     assert got == modcat.to_simples_basis(modcat.catalog("Cinf")).f1
 
 
+def test_derive_negative_window_exit_3(capsys):
+    code, out, err = run(capsys, "derive", "--model", "Ainf", "--upto", "2", "--window", "-4")
+    assert code == 3
+    assert out == ""
+    assert err == "error: --window must be >= 0\n"
+
+
 def test_transitive_catalog_models(capsys, registry):
     for name in modcat.catalog_names():
         code, doc = run_json(capsys, "transitive", "--model", name, "--json")
@@ -349,6 +356,15 @@ def test_obstruction_bad_depth_exit_3(capsys):
     code, _, err = run(capsys, "obstruction", "--model", "Ainf", "--depth", "-1")
     assert code == 3
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("schur_dim", ["0", "-1"])
+def test_obstruction_schur_dim_below_one_exit_3(capsys, schur_dim):
+    code, out, err = run(capsys, "obstruction", "--model", "BinfDual", "--depth", "2",
+                         "--schur-dim", schur_dim)
+    assert code == 3
+    assert out == ""
+    assert err == "error: schur_dim must be >= 1\n"
 
 
 # -- decompose ------------------------------------------------------------------------
@@ -535,6 +551,13 @@ def test_render_int_index_window_is_centered(capsys):
     assert 'v0 [label="-1"];' in out
     assert 'v1 [label="0"];' in out
     assert 'v2 [label="1"];' in out
+
+
+def test_render_negative_size_exit_3(capsys):
+    code, out, err = run(capsys, "render", "--model", "Ainf", "--dot", "-", "--size", "-3")
+    assert code == 3
+    assert out == ""
+    assert err == "error: --size must be >= 0\n"
 
 
 # -- predict -------------------------------------------------------------------------------

@@ -252,6 +252,13 @@ def test_schur_dimension_knob_evades_the_obstruction():
     assert report.status == "SAT"
 
 
+@pytest.mark.parametrize("schur_dim", [0, -1])
+def test_schur_dimension_below_one_is_rejected(schur_dim):
+    # a simple module's endomorphisms contain the scalars, so dim End >= 1
+    with pytest.raises(ValueError, match="schur_dim must be >= 1"):
+        solve_feasibility(catalog("BinfDual").f1, 2, schur_dim=schur_dim)
+
+
 def test_feasibility_depth_cap():
     with pytest.raises(ValueError):
         socle_top_feasibility(catalog("Ainf"), 7)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2cat import oracles
 from sl2cat.modcat import catalog
 from sl2cat.oracles import (
     NamedOObject,
@@ -21,10 +22,12 @@ from sl2cat.oracles import (
     q_hom_dimension,
     q_module_profile,
     realization_names,
+    restriction_action_matrix,
     restriction_consistency_solve,
     tensor_in_O,
     verma,
 )
+from sl2cat.presented import IndexSet, PresentedMatrix
 
 import refimpl
 
@@ -235,7 +238,7 @@ def test_character_addition():
 def test_takiff_system_consistent():
     report = restriction_consistency_solve("takiff", truncation=20)
     assert report.status == "consistent"
-    assert report.relations_checked >= 20
+    assert report.relations_checked == 21
     assert report.characters["chain_0"] == SlCharacter.tower(0, 2)
     assert report.characters["chain_3"] == SlCharacter.tower(3, 2)
 
@@ -243,15 +246,51 @@ def test_takiff_system_consistent():
 def test_schrodinger_system_consistent():
     report = restriction_consistency_solve("schrodinger", truncation=20)
     assert report.status == "consistent"
+    assert report.relations_checked == 21
     assert report.characters["chain_0"] == SlCharacter.tower(0, 1)
     assert report.characters["chain_2"] == SlCharacter.tower(2, 1)
 
 
 def test_dinf_default_is_underdetermined():
-    report = restriction_consistency_solve("dinf", truncation=12)
-    assert report.status == "underdetermined"
-    assert report.freedom is not None
-    assert report.characters == {}
+    for truncation, dim in [(12, 19), (20, 27)]:
+        report = restriction_consistency_solve("dinf", truncation=truncation)
+        assert report.status == "underdetermined"
+        assert f"has a {dim}-dimensional solution space" in report.freedom
+        assert report.characters == {}
+
+
+@pytest.mark.parametrize("truncation", [4, 7, 12, 20, 40])
+def test_chain_systems_check_one_relation_per_column(truncation):
+    # columns 0..T of the action matrix; assuming restrictions changes nothing
+    for system in ("takiff", "schrodinger"):
+        for assume in (False, True):
+            report = restriction_consistency_solve(system, truncation, assume)
+            assert report.status == "consistent"
+            assert report.relations_checked == truncation + 1
+
+
+@pytest.mark.parametrize("truncation, checked", [(20, 483), (40, 1763)])
+def test_dinf_assumed_counts_equations_and_certified_columns(truncation, checked):
+    # (T+2)(T+1) - 1 window equations with the normalization, then T+2 columns
+    t = truncation
+    assert checked == (t + 2) * (t + 1) - 1 + (t + 2)
+    report = restriction_consistency_solve("dinf", t, assume_restrictions=True)
+    assert report.status == "consistent"
+    assert report.relations_checked == checked
+
+
+@pytest.mark.parametrize("system, column, row", [("takiff", 3, 3), ("dinf", 0, 3)])
+def test_solver_and_action_matrix_read_one_definition(monkeypatch, system, column, row):
+    entry = oracles._SYSTEMS[system]
+    extra = PresentedMatrix(IndexSet.nat(), max(row, column) + 1, {(row, column): 1})
+    mutated = entry._replace(f1=entry.f1.add(extra))
+    monkeypatch.setitem(oracles._SYSTEMS, system, mutated)
+    report = restriction_consistency_solve(system, 20, assume_restrictions=True)
+    assert report.status == "infeasible"
+    if system == "takiff":
+        assert report.relations_checked == column
+    with pytest.raises(RuntimeError, match=f"column {column} of the {system} matrix"):
+        restriction_action_matrix(system)
 
 
 def test_dinf_assumed_restrictions_pin_the_branch_characters():
