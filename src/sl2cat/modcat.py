@@ -239,7 +239,7 @@ def semisimplicity_symmetry_check(m: ModuleCategoryModel) -> bool:
 
 
 def socle_top_feasibility(m: ModuleCategoryModel, depth: int, schur_dim: int = 1,
-                          node_budget: int = 100_000, max_depth: int = 6) -> ObstructionReport:
+                          node_budget: int = 100_000, max_depth: int = 12) -> ObstructionReport:
     """Top/socle constraint solver; see obstruction.solve_feasibility."""
     if m.basis != "projectives":
         raise PreconditionFailed("feasibility solver expects the projectives basis")

@@ -19,11 +19,19 @@ a small backtracking search.  It reports SAT with a witness assignment,
 UNSAT with an event trace ending in the violated identity, or unknown
 when the node budget runs out.  Composition lengths above four are left
 structurally unconstrained, so an UNSAT answer is always sound.
+
+Propagation is event driven (AC-3, Mackworth 1977): a rule runs again only
+after a variable it reads narrows, in the current sweep if it comes later
+in rule order and in the next sweep otherwise, so the events are those of
+repeated full sweeps in rule order.  Narrowings go on a trail, and the
+iterative depth-first search undoes a failed branch by popping the trail
+(as in MiniSat).  Depth is capped at 12 by default; the node budget
+(100,000 branches by default) turns an exhausted search into "unknown".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fusion import action
 from .presented import PresentedMatrix
@@ -66,20 +74,19 @@ def _var_name(key: tuple) -> str:
 
 
 class _State:
-    """Interval domains plus an optional event trace."""
+    """Interval domains, a trail of narrowings and an optional event trace."""
 
     def __init__(self, domains: dict, trace: list | None):
         self.domains = domains
         self.trace = trace
+        self.trail: list[tuple] = []  # (key, old lo, old hi), undone by undo()
 
-    def copy_quiet(self) -> "_State":
-        return _State({k: v.copy() for k, v in self.domains.items()}, None)
-
-    def narrow(self, key: tuple, lo: int, hi: int, event: dict) -> bool:
+    def narrow(self, key: tuple, lo: int, hi: int, event: dict) -> None:
         cur = self.domains[key]
         new_lo, new_hi = max(cur[0], lo), min(cur[1], hi)
         if (new_lo, new_hi) == (cur[0], cur[1]):
-            return False
+            return
+        self.trail.append((key, cur[0], cur[1]))
         cur[0], cur[1] = new_lo, new_hi
         if new_lo > new_hi:
             raise _Violation({**event, "status": "violated"})
@@ -87,7 +94,12 @@ class _State:
             pinned = {"variable": _var_name(key), "value": new_lo} if new_lo == new_hi \
                 else {"variable": _var_name(key), "range": [new_lo, new_hi]}
             self.trace.append({**event, "status": "established", "pinned": pinned})
-        return True
+
+    def undo(self, mark: int) -> None:
+        trail = self.trail
+        while len(trail) > mark:
+            key, lo, hi = trail.pop()
+            self.domains[key][:] = lo, hi
 
     def value(self, key: tuple) -> int | None:
         lo, hi = self.domains[key]
@@ -95,19 +107,18 @@ class _State:
 
 
 def _rule_equal(x: tuple, y: tuple, event: dict):
-    def run(state: _State) -> bool:
+    def run(state: _State) -> None:
         dx, dy = state.domains[x], state.domains[y]
         lo, hi = max(dx[0], dy[0]), min(dx[1], dy[1])
-        changed = state.narrow(x, lo, hi, event)
-        changed |= state.narrow(y, lo, hi, event)
-        return changed
+        state.narrow(x, lo, hi, event)
+        state.narrow(y, lo, hi, event)
+    run.keys = (x, y)
     return run
 
 
 def _rule_sum_eq(keys: list, constant: int, target: int, event: dict):
     # sum(keys) + constant == target
-    def run(state: _State) -> bool:
-        changed = False
+    def run(state: _State) -> None:
         lows = [state.domains[k][0] for k in keys]
         highs = [state.domains[k][1] for k in keys]
         total_lo, total_hi = sum(lows) + constant, sum(highs) + constant
@@ -116,14 +127,13 @@ def _rule_sum_eq(keys: list, constant: int, target: int, event: dict):
         for idx, key in enumerate(keys):
             lo = target - constant - (sum(highs) - highs[idx])
             hi = target - constant - (sum(lows) - lows[idx])
-            changed |= state.narrow(key, lo, hi, event)
-        return changed
+            state.narrow(key, lo, hi, event)
+    run.keys = tuple(keys)
     return run
 
 
 def _rule_sum_ge(keys: list, target: int, event: dict):
-    def run(state: _State) -> bool:
-        changed = False
+    def run(state: _State) -> None:
         lows = [state.domains[k][0] for k in keys]
         highs = [state.domains[k][1] for k in keys]
         if sum(highs) < target:
@@ -131,49 +141,74 @@ def _rule_sum_ge(keys: list, target: int, event: dict):
         for idx, key in enumerate(keys):
             lo = target - (sum(highs) - highs[idx])
             if lo > lows[idx]:
-                changed |= state.narrow(key, lo, state.domains[key][1], event)
-        return changed
+                state.narrow(key, lo, state.domains[key][1], event)
+    run.keys = tuple(keys)
     return run
 
 
 def _rule_semisimple(t_keys: list, s_keys: list, comp: dict, order: list, length: int, event: dict):
     # top equals everything <=> the module is semisimple <=> socle equals
     # everything; propagated in both directions, including the contrapositive
-    def cap(state: _State, keys: list, bound: int) -> bool:
-        changed = False
+    def cap(state: _State, keys: list, bound: int) -> None:
         lows = [state.domains[k][0] for k in keys]
         if sum(lows) > bound:
             raise _Violation({**event, "status": "violated"})
         for idx, key in enumerate(keys):
             hi = bound - (sum(lows) - lows[idx])
             if hi < state.domains[key][1]:
-                changed |= state.narrow(key, state.domains[key][0], hi, event)
-        return changed
+                state.narrow(key, state.domains[key][0], hi, event)
 
-    def run(state: _State) -> bool:
-        changed = False
+    def run(state: _State) -> None:
         t_lo = sum(state.domains[k][0] for k in t_keys)
         s_lo = sum(state.domains[k][0] for k in s_keys)
         if t_lo == length:
             for k, kk in zip(s_keys, order):
-                changed |= state.narrow(k, comp[kk], comp[kk], event)
+                state.narrow(k, comp[kk], comp[kk], event)
         if s_lo == length:
             for k, kk in zip(t_keys, order):
-                changed |= state.narrow(k, comp[kk], comp[kk], event)
+                state.narrow(k, comp[kk], comp[kk], event)
         if any(state.domains[k][1] < comp[kk] for k, kk in zip(s_keys, order)):
-            changed |= cap(state, t_keys, length - 1)
+            cap(state, t_keys, length - 1)
         if any(state.domains[k][1] < comp[kk] for k, kk in zip(t_keys, order)):
-            changed |= cap(state, s_keys, length - 1)
-        return changed
+            cap(state, s_keys, length - 1)
+    run.keys = (*t_keys, *s_keys)
     return run
 
 
-def _propagate(state: _State, rules: list) -> None:
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            changed |= rule(state)
+def _watch_index(rules: list, keys) -> dict:
+    """key -> ascending indices of the rules that read it."""
+    watch = {key: [] for key in keys}
+    for idx, rule in enumerate(rules):
+        for key in rule.keys:
+            watch[key].append(idx)
+    return watch
+
+
+def _propagate(state: _State, rules: list, watch: dict, seed) -> None:
+    """Run rules to a fixpoint, re-running only those whose keys narrowed.
+
+    A skipped rule reads only keys unchanged since a run of it that changed
+    nothing, so it would change nothing again.
+    """
+    trail = state.trail
+    current, later = bytearray(len(rules)), bytearray(len(rules))  # 1 = queued
+    for r in seed:
+        current[r] = 1
+    idx = current.find(1)
+    while idx >= 0:
+        current[idx] = 0
+        mark = len(trail)
+        rules[idx](state)
+        for key, _, _ in trail[mark:]:
+            for r in watch[key]:
+                if r > idx:
+                    current[r] = 1
+                else:
+                    later[r] = 1
+        idx = current.find(1, idx + 1)
+        if idx < 0:  # sweep done; current is all zero
+            current, later = later, current
+            idx = current.find(1)
 
 
 def _cg_support(a: int, b: int) -> range:
@@ -221,6 +256,20 @@ def _witness_from(state: _State, comps: dict, depth: int) -> list:
                         "top": {k: v for k, v in top.items() if v},
                         "socle": {k: v for k, v in soc.items() if v}})
     return out
+
+
+def _fresh_state(comps: dict, trace: list | None) -> _State:
+    """Degree 0 is the identity functor; F_a S_j for a >= 1 starts open."""
+    domains = {}
+    for (a, j), comp in comps.items():
+        for k, mult in comp.items():
+            if a == 0:
+                domains[("t", a, j, k)] = [mult, mult]
+                domains[("s", a, j, k)] = [mult, mult]
+            else:
+                domains[("t", a, j, k)] = [0, mult]
+                domains[("s", a, j, k)] = [0, mult]
+    return _State(domains, trace)
 
 
 def _build_rules(comps: dict, depth: int, schur_dim: int, state: _State) -> list:
@@ -317,31 +366,54 @@ def _build_rules(comps: dict, depth: int, schur_dim: int, state: _State) -> list
     return rules
 
 
-def _search(state: _State, rules: list, budget: list) -> _State | None:
-    """Depth-first search over the remaining domains; None when exhausted."""
-    open_keys = [k for k, (lo, hi) in state.domains.items() if lo < hi]
-    if not open_keys:
-        return state
-    key = min(open_keys, key=lambda k: state.domains[k][1] - state.domains[k][0])
-    lo, hi = state.domains[key]
-    for value in range(lo, hi + 1):
-        budget[0] -= 1
-        if budget[0] <= 0:
-            raise TimeoutError
-        branch = state.copy_quiet()
-        try:
-            branch.narrow(key, value, value, {"constraint": "branch"})
-            _propagate(branch, rules)
-        except _Violation:
-            continue
-        found = _search(branch, rules, budget)
-        if found is not None:
-            return found
-    return None
+def _branch_key(domains: dict) -> tuple | None:
+    """The open key of smallest width, first in dict order; None if all pinned."""
+    best, best_width = None, 0
+    for key, (lo, hi) in domains.items():
+        width = hi - lo
+        if width and (best is None or width < best_width):
+            if width == 1:  # no open key is narrower
+                return key
+            best, best_width = key, width
+    return best
+
+
+def _search(state: _State, rules: list, watch: dict, budget: int) -> bool:
+    """Depth-first search from a fixpoint, leaving a solution in ``state``.
+
+    Frames are [key, next value, last value, trail mark].  False when
+    exhausted; TimeoutError when the ``budget``-th branch is reached.
+    """
+    stack: list[list] = []
+    while True:
+        key = _branch_key(state.domains)
+        if key is None:
+            return True
+        lo, hi = state.domains[key]
+        stack.append([key, lo, hi, len(state.trail)])
+        while True:  # next value of the deepest frame that has one left
+            if not stack:
+                return False
+            frame = stack[-1]
+            key, value, hi, mark = frame
+            state.undo(mark)
+            if value > hi:
+                stack.pop()
+                continue
+            frame[1] = value + 1
+            budget -= 1
+            if budget <= 0:
+                raise TimeoutError
+            try:
+                state.narrow(key, value, value, {"constraint": "branch"})
+                _propagate(state, rules, watch, watch[key])
+                break
+            except _Violation:
+                pass
 
 
 def solve_feasibility(f1: PresentedMatrix, depth: int, schur_dim: int = 1,
-                      node_budget: int = 100_000, max_depth: int = 6) -> ObstructionReport:
+                      node_budget: int = 100_000, max_depth: int = 12) -> ObstructionReport:
     """Run the constraint solver on a projectives-basis action matrix."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -351,29 +423,18 @@ def solve_feasibility(f1: PresentedMatrix, depth: int, schur_dim: int = 1,
         raise ValueError(f"depth {depth} exceeds the exhaustive-search cap {max_depth}")
     comps = _compositions(f1, depth)
 
-    def fresh_state(trace: list | None) -> _State:
-        domains = {}
-        for (a, j), comp in comps.items():
-            for k, mult in comp.items():
-                if a == 0:
-                    domains[("t", a, j, k)] = [mult, mult]
-                    domains[("s", a, j, k)] = [mult, mult]
-                else:
-                    domains[("t", a, j, k)] = [0, mult]
-                    domains[("s", a, j, k)] = [0, mult]
-        return _State(domains, trace)
-
     if f1.is_symmetric():
         # semisimple witness: top = socle = all composition factors; verify
         # it against the full rule set before reporting
-        state = fresh_state(None)
+        state = _fresh_state(comps, None)
         try:
             rules = _build_rules(comps, depth, schur_dim, state)
             for (a, j), comp in comps.items():
                 for k, mult in comp.items():
                     state.narrow(("t", a, j, k), mult, mult, {"constraint": "witness"})
                     state.narrow(("s", a, j, k), mult, mult, {"constraint": "witness"})
-            _propagate(state, rules)
+            for rule in rules:  # every variable is pinned: one sweep decides
+                rule(state)
             trace = [{
                 "constraint": "semisimple-witness", "status": "established",
                 "identity": "the action matrix is symmetric; top = socle = all factors",
@@ -384,22 +445,23 @@ def solve_feasibility(f1: PresentedMatrix, depth: int, schur_dim: int = 1,
             pass  # fall through to the general engine
 
     trace: list[dict] = []
-    state = fresh_state(trace)
+    state = _fresh_state(comps, trace)
     try:
         rules = _build_rules(comps, depth, schur_dim, state)
-        _propagate(state, rules)
+        watch = _watch_index(rules, state.domains)
+        _propagate(state, rules, watch, range(len(rules)))
     except _Violation as exc:
         return ObstructionReport("UNSAT", depth, schur_dim, None, trace + [exc.event])
-    budget = [node_budget]
+    state.trace = None  # branch narrowings are not reported
     try:
-        found = _search(state, rules, budget)
+        found = _search(state, rules, watch, node_budget)
     except TimeoutError:
         trace.append({"constraint": "search", "status": "exhausted-budget",
                       "identity": f"node budget {node_budget} reached"})
         return ObstructionReport("unknown", depth, schur_dim, None, trace)
-    if found is None:
+    if not found:
         trace.append({"constraint": "search", "status": "violated",
                       "identity": "no assignment survives exhaustive search"})
         return ObstructionReport("UNSAT", depth, schur_dim, None, trace)
     return ObstructionReport("SAT", depth, schur_dim,
-                             _witness_from(found, comps, depth), trace)
+                             _witness_from(state, comps, depth), trace)

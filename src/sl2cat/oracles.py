@@ -460,11 +460,13 @@ class SlCharacter:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SlCharacter):
             return NotImplemented
-        return self._common(other)[0] == self._common(other)[1]
+        mine, theirs = self._common(other)
+        return mine == theirs
 
     def __hash__(self) -> int:
-        # hash via a canonical expansion of itself
-        return hash(self._expand(len(self.head), self.period))
+        # equal characters agree at every index, whatever head and period
+        # store them, so hash a fixed window of values
+        return hash(tuple(self.truncate(16)))
 
     def add(self, other: "SlCharacter") -> "SlCharacter":
         (h1, t1), (h2, t2) = self._common(other)

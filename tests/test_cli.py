@@ -358,6 +358,20 @@ def test_obstruction_bad_depth_exit_3(capsys):
     assert err.startswith("error:")
 
 
+def test_obstruction_at_the_depth_cap(capsys):
+    code, out, err = run(capsys, "obstruction", "--model", "Cinf", "--depth", "12")
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[0] == "SAT at depth 12 (schur dim 1)"
+
+
+def test_obstruction_past_the_depth_cap_exit_3(capsys):
+    code, out, err = run(capsys, "obstruction", "--model", "Cinf", "--depth", "13")
+    assert code == 3
+    assert out == ""
+    assert err == "error: depth 13 exceeds the exhaustive-search cap 12\n"
+
+
 @pytest.mark.parametrize("schur_dim", ["0", "-1"])
 def test_obstruction_schur_dim_below_one_exit_3(capsys, schur_dim):
     code, out, err = run(capsys, "obstruction", "--model", "BinfDual", "--depth", "2",

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sl2cat import modcat
+from sl2cat import modcat, obstruction
 from sl2cat.dynkin import find_positive_null_vector, gcm_of
 from sl2cat.fusion import r_poly
 from sl2cat.modcat import (
@@ -252,6 +253,15 @@ def test_schur_dimension_knob_evades_the_obstruction():
     assert report.status == "SAT"
 
 
+def test_semisimple_witness_is_checked_against_the_rules():
+    # with dim End = 2 the semisimple witness breaks the end-dim identity
+    # of F_1 S_0, so the general engine decides
+    report = socle_top_feasibility(catalog("Ainf"), 3, schur_dim=2)
+    assert report.status == "UNSAT"
+    assert report.trace[-1]["identity"] == (
+        "dim End(F_1 S_0) = [socle F_0 S_0 : S_0] + [socle F_2 S_0 : S_0] = 2")
+
+
 @pytest.mark.parametrize("schur_dim", [0, -1])
 def test_schur_dimension_below_one_is_rejected(schur_dim):
     # a simple module's endomorphisms contain the scalars, so dim End >= 1
@@ -260,10 +270,247 @@ def test_schur_dimension_below_one_is_rejected(schur_dim):
 
 
 def test_feasibility_depth_cap():
-    with pytest.raises(ValueError):
-        socle_top_feasibility(catalog("Ainf"), 7)
+    with pytest.raises(ValueError, match="depth 13 exceeds the exhaustive-search cap 12"):
+        socle_top_feasibility(catalog("Ainf"), 13)
     with pytest.raises(PreconditionFailed):
         socle_top_feasibility(to_simples_basis(catalog("Cinf")), 2)
+
+
+# sha256 of json.dumps(report.to_json(), sort_keys=True) at depths 1..8,
+# recorded from the solver that swept every rule until nothing changed and
+# copied every domain per search node
+OBSTRUCTION_DIGESTS = {
+    "Ainf": (
+        "6a8f4090511bf048e8800d2a2b07ddeb5c1b3a3858cda7407de800a1f96d8403",
+        "fcf2746df61a038fddb3ca1a9d268c8bd24059195f3b1e3a97a2c8dd85f7804e",
+        "914b39a4843d92695f8bc3d3ea92d102aa6ed0d17e23d3432d4354240b5c54db",
+        "5e8ef57955312be3513b45881e591814b6c678d184d90338b10d1a53b73bd2c8",
+        "9d41514681f3956917ccf6d458bb5118350abc68a1f0296491ca199989d7cc7f",
+        "025f271b875fad9f0a7d3318404e26da9fd4bb5e438d01932a097fae6f1c32a4",
+        "17e4a3b40bf7f4b7ebc01fdfeb4841ebbb94115711b588fb4507c18d10064e3d",
+        "a21e771aab5ef33cdaae0b81e16a08f650339267e226e9ce14e65959aa6d2486",
+    ),
+    "AinfInf": (
+        "d292b5d08687125b1873b2be147ff351e48671547579f954445e2a06f2994b7a",
+        "4308653f5a68dd363f93fb824dd4be666d09c17116397f799719f7598c2d3284",
+        "61b17124218ad43109fde32e16357fbe1fb08549ca0986c63bcfadecb836a115",
+        "08a757b69e224927e161401070c9613346958f9b5f5b164de541cc1485b6c15c",
+        "9d8e740721c63b0abe9041b7ef389649b9df9b64d743ec00b425bd95f0c15ae9",
+        "b1c89dd725feb934361f47414d66bbbd79e91f7a6b93263c59685814d814308a",
+        "8b606ba5342f77fa40ad2aebe90bb92cec940980b62212971b7cf01ab44c51e5",
+        "d16498d4ab72a7f3e810aa66083820a6b53987dfddc30db32b8eb93ea6f91c2a",
+    ),
+    "BinfDual": (
+        "209c904469340eb69062e81f2c68498bb55170654f68bc58a51fe9451be0cb92",
+        "df71d2306d911910d34bf7c3b9474c6ccee169408a4cce9b0ddb4389b7d008e4",
+        "a5051d564cd19e691d397f18a4f1a56d6b9d880de4b10bbad6c109ba4a8bdbb9",
+        "799c9bb0e0f9ab5647b43fe06a0448d9c02cfd537ad518f0b2018d5c0a1c9218",
+        "e0aec0369ef8ea7d3e9dd8139a2544f472a93b19fcf7f2d90c2fefdfe9da77f6",
+        "4fe3d9c6c88e2389ea6173ab665ae2a443d4eb11f9fad953e070de29ca526aaa",
+        "15efce37f2ba2d858155b688ce84f188acc9302f79b11814be8f1904fe3a18d7",
+        "48500c1af72e0ae51d230a714b6fb573cd3bb825567af1ed3476327020f3b543",
+    ),
+    "Cinf": (
+        "390b0527145476d3cb21448c9aa5e712b051ae2cc7c0bc11708cb74eaccdd72a",
+        "27edbe0c65baadda3c3aad185b5e00a5c22d0d41b99a9cb5ffef3fe96ab3d86c",
+        "62e9af014832bdcf498b611a5da14d6faa52835811189b375cf6768937049d59",
+        "34da00046a59b91e5499bb937865f4834e63158b10b8ca9b6792ea15f95194d3",
+        "7e04b315f2d9902fc2e9eeaeccad59e45be233b54ba674878472c083890af578",
+        "676692ec36c013803249dcc16f7c4327f5511ef42611e767e9dc6f4a661cb1e3",
+        "858063cc72e8e0f59446c459da78d72b3cf841d8a637c2c3e40f93c0a6e4f4c6",
+        "2ac6c5a56072d197bb9b15345d501855ca806f2a57a0e3c283a08a084baa511f",
+    ),
+    "Dinf": (
+        "5e116f83b01d49f591f8e2329e21211d487579136dd941af481bb9597a9b1112",
+        "d39a516a66599c4453749feeef651de7c1a8de3b4aa440938937f21343e18edd",
+        "da98df7cc403565249c6f6ce8aa8fc7b2d1e016c06cfc42191ba2522765584d2",
+        "075d8cc5fd0371d14de34171e924d7cabb0ce03b075c866f90603365e689b881",
+        "dcbb72fec1314d921b2b606bab18aef1164f28f89c28a4254c81459acd9912a7",
+        "24a10836e4c6320ec1554b2b7b7bf263cedc5ac62e43dbf114f66ae25bb35f5e",
+        "1fa17cd3e9dbf609984299841d356cdf40997349d129c32aa8d3bb9d50aebb2f",
+        "e447154679ce98e45bd5271468978ddac49e8513e1e30dc9f7e8145f66bb992c",
+    ),
+    "Tinf": (
+        "a0b655d4b35c2946f623812e86b9d6d6dec4a07b1ada803b79fef7c025cdb4aa",
+        "85107b962ddca8cd9cb9abcd71790be267e8d76eccda92b3f19adc294f610b8b",
+        "5bc5379054670c085e9873f48a8a362990215cebbb78e17ce8dfe27ff5695c5b",
+        "936bffc0837bc8009d2ae86662568a99f48db8a276ad52dfc0fc2eff424d8c5b",
+        "18297d373b382f858838e49e8d34e4e3b9490d73ba3bd0739339488bc58e3eec",
+        "981509dcc0d03753bd16f013c3db48464c3362a1a01281bab74a046c983d4729",
+        "5e1d2d922884f884240dad2d35b848a46f376f0b41355b18573f7ebb5676f509",
+        "b82dfa14598c9b2467d51788d7641408a3b2d327e5654df36f0bf29c5f9c53f6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_obstruction_reports_match_full_sweep_digests(name):
+    for depth in range(1, 9):
+        report = socle_top_feasibility(catalog(name), depth)
+        text = json.dumps(report.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == OBSTRUCTION_DIGESTS[name][depth - 1], depth
+
+
+def _full_sweeps(state, rules):
+    """Reference propagation: run every rule in order until a sweep changes nothing."""
+    while True:
+        before = [tuple(v) for v in state.domains.values()]
+        for rule in rules:
+            rule(state)
+        if [tuple(v) for v in state.domains.values()] == before:
+            return
+
+
+def _outcome(step, state):
+    """What a propagation did: the violated event, or None, plus domains and trace."""
+    try:
+        step(state)
+        violation = None
+    except obstruction._Violation as exc:
+        violation = exc.event
+    return violation, {k: tuple(v) for k, v in state.domains.items()}, list(state.trace)
+
+
+def _assert_watched_matches_full_sweeps(watched, rules, full, full_rules, data):
+    """Seed every rule, then branch from the fixpoint and seed only the key's watchers."""
+    watch = obstruction._watch_index(rules, watched.domains)
+    first = _outcome(lambda s: obstruction._propagate(s, rules, watch, range(len(rules))), watched)
+    assert first == _outcome(lambda s: _full_sweeps(s, full_rules), full)
+    open_keys = [k for k, (lo, hi) in watched.domains.items() if lo < hi]
+    if first[0] is not None or not open_keys:
+        return
+    key = data.draw(st.sampled_from(open_keys))
+    value = data.draw(st.integers(*watched.domains[key]))
+    for state in (watched, full):
+        state.narrow(key, value, value, {"constraint": "branch"})
+    second = _outcome(lambda s: obstruction._propagate(s, rules, watch, watch[key]), watched)
+    assert second == _outcome(lambda s: _full_sweeps(s, full_rules), full)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(catalog_names()), depth=st.integers(1, 5), data=st.data())
+def test_watched_propagation_matches_full_sweeps(name, depth, data):
+    comps = obstruction._compositions(catalog(name).f1, depth)
+    states = [obstruction._fresh_state(comps, []) for _ in range(2)]
+    rules = [obstruction._build_rules(comps, depth, 1, state) for state in states]
+    keys = list(states[0].domains)
+    for _ in range(data.draw(st.integers(0, 4))):  # random partial pins
+        key = keys[data.draw(st.integers(0, len(keys) - 1))]
+        value = data.draw(st.integers(*states[0].domains[key]))
+        for state in states:
+            state.narrow(key, value, value, {"constraint": "pin"})
+    _assert_watched_matches_full_sweeps(states[0], rules[0], states[1], rules[1], data)
+
+
+def _step_rule(x, cap, event):
+    # raises lo(x) by one per run: it must run again after its own change
+    def run(state):
+        lo, hi = state.domains[x]
+        if lo < cap:
+            state.narrow(x, lo + 1, hi, event)
+    run.keys = (x,)
+    return run
+
+
+def _below_rule(x, y, gap, event):
+    # lo(y) >= lo(x) + gap and hi(x) <= hi(y) - gap
+    def run(state):
+        state.narrow(y, state.domains[x][0] + gap, state.domains[y][1], event)
+        state.narrow(x, state.domains[x][0], state.domains[y][1] - gap, event)
+    run.keys = (x, y)
+    return run
+
+
+_SYNTHETIC_RULE = st.one_of(
+    st.tuples(st.just("step"), st.integers(0, 3), st.integers(0, 6)),
+    st.tuples(st.just("below"), st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_SYNTHETIC_RULE, min_size=1, max_size=8), st.data())
+def test_watched_propagation_is_exact_for_rules_that_need_reruns(specs, data):
+    # a rule whose change feeds itself or an earlier rule must wait for the
+    # next sweep
+    keys = [("t", 1, 0, k) for k in range(4)]
+
+    def build():
+        rules = []
+        for i, (kind, *args) in enumerate(specs):
+            event = {"constraint": f"rule {i}"}
+            if kind == "step":
+                rules.append(_step_rule(keys[args[0]], args[1], event))
+            else:
+                rules.append(_below_rule(keys[args[0]], keys[args[1]], args[2], event))
+        return obstruction._State({key: [0, 6] for key in keys}, []), rules
+
+    (watched, rules), (full, full_rules) = build(), build()
+    _assert_watched_matches_full_sweeps(watched, rules, full, full_rules, data)
+
+
+def _copying_search(state, rules):
+    """Reference search: copy the domains per node, full sweeps, recursion."""
+    open_keys = [k for k, (lo, hi) in state.domains.items() if lo < hi]
+    if not open_keys:
+        return state
+    key = min(open_keys, key=lambda k: state.domains[k][1] - state.domains[k][0])
+    lo, hi = state.domains[key]
+    for value in range(lo, hi + 1):
+        branch = obstruction._State({k: v.copy() for k, v in state.domains.items()}, None)
+        try:
+            branch.narrow(key, value, value, {"constraint": "branch"})
+            _full_sweeps(branch, rules)
+        except obstruction._Violation:
+            continue
+        found = _copying_search(branch, rules)
+        if found is not None:
+            return found
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 2), min_size=4, max_size=4), min_size=4, max_size=4),
+       st.integers(2, 3))
+def test_trail_search_matches_copying_search_on_random_models(rows, depth):
+    f1 = finite_model(rows).f1
+    assume(not f1.is_symmetric())  # symmetric matrices take the semisimple witness
+    try:
+        report = solve_feasibility(f1, depth)
+    except PreconditionFailed:
+        assume(False)  # a negative composition multiplicity
+    comps = obstruction._compositions(f1, depth)
+    state = obstruction._fresh_state(comps, [])
+    try:
+        rules = obstruction._build_rules(comps, depth, 1, state)
+        _full_sweeps(state, rules)
+    except obstruction._Violation as exc:
+        assert (report.status, report.trace[-1]) == ("UNSAT", exc.event)
+        return
+    found = _copying_search(state, rules)
+    if found is None:
+        assert report.status == "UNSAT"
+        assert report.trace[-1]["identity"] == "no assignment survives exhaustive search"
+    else:
+        assert report.status == "SAT"
+        assert report.witness == obstruction._witness_from(found, comps, depth)
+
+
+def test_node_budget_counts_branches():
+    # Cinf at depth 6 finds its witness on the 173rd branch
+    f1 = catalog("Cinf").f1
+    assert solve_feasibility(f1, 6, node_budget=174).status == "SAT"
+    report = solve_feasibility(f1, 6, node_budget=173)
+    assert report.status == "unknown"
+    assert report.trace[-1] == {"constraint": "search", "status": "exhausted-budget",
+                                "identity": "node budget 173 reached"}
+
+
+def test_search_does_not_recurse_at_the_depth_cap():
+    # the search path is 1,128 branches deep here: one Python frame per
+    # branch would pass the default recursion limit of 1,000
+    report = socle_top_feasibility(catalog("Cinf"), 12)
+    assert report.status == "SAT"
+    assert len(report.witness) == 12 * 13
 
 
 def test_null_vectors_of_catalog_models_annihilate_dense_windows():

@@ -211,6 +211,16 @@ def test_character_equality_is_presentation_independent():
     assert SlCharacter.mod_class(0, 4) != SlCharacter.mod_class(2, 4)
 
 
+def test_equal_characters_hash_alike():
+    # one character stored with three heads and periods
+    forms = [SlCharacter((), 1, [(0, 1)]), SlCharacter((1,), 1, [(0, 1)]),
+             SlCharacter((), 2, [(0, 1), (0, 1)])]
+    assert forms[0] == forms[1] == forms[2]
+    assert len({hash(c) for c in forms}) == 1
+    assert len(set(forms)) == 1
+    assert len({SlCharacter.tower(0, 2), SlCharacter((1, 0, 1), 2, ((0, 0), (0, 1)))}) == 1
+
+
 def test_character_tensor_matches_brute_force():
     for char in [
         SlCharacter.tower(0, 2),
