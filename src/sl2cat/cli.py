@@ -512,6 +512,9 @@ def _cmd_predict(args) -> int:
                 raise UsageError(f"theorem 10.1 cases are a-e, got {args.case!r}")
             weight_class, special_fixed = _WEIGHT_CASES[args.case]
         else:
+            if args.special_fixed and args.weight_class != "half-integer-not-integer":
+                raise UsageError("--special-fixed applies to --weight-class "
+                                 "half-integer-not-integer only")
             weight_class, special_fixed = args.weight_class, args.special_fixed
         prediction = modcat.predict_weight_module_type(weight_class, special_fixed)
         fallback_label = f"weight class {weight_class}"
@@ -531,6 +534,9 @@ def _cmd_predict(args) -> int:
             semisimple = True if args.semisimple else (False if args.nilpotent else None)
             if dim == 1 and semisimple is None:
                 raise UsageError("--dim 1 needs --semisimple or --nilpotent")
+        if (args.semisimple or args.nilpotent) and args.dim != 1:
+            raise UsageError("--semisimple and --nilpotent apply to --dim 1 only; "
+                             "cases a and b already encode them")
         try:
             prediction = modcat.subalgebra_type(dim, semisimple)
         except ValueError as exc:

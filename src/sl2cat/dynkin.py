@@ -36,7 +36,6 @@ __all__ = [
     "coxeter_number",
     "check_coxeter_annihilation",
     "find_positive_null_vector",
-    "classify_finite",
     "classify",
     "classify_components",
 ]
@@ -62,21 +61,22 @@ class DynkinType:
         if self.kind == "infinite":
             return _INFINITE_DISPLAY[self.family]
         base = _AFFINE_DISPLAY.get(self.family, self.family)
-        if self.rank is not None and self.family in _RANKED_FAMILIES:
+        if self._ranked():
             return f"{base}_{self.rank}"
         return base
 
     def key(self) -> str:
-        if self.rank is not None and self.family in _RANKED_FAMILIES:
+        if self._ranked():
             return f"{self.family}{self.rank}"
         return self.family
+
+    def _ranked(self) -> bool:
+        bounds = CLASSICAL_RANKS.get(self.family) or AFFINE_RANKS.get(self.family)
+        return self.rank is not None and bounds is not None and bounds[1] is None
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "family": self.family, "rank": self.rank}
 
-
-_RANKED_FAMILIES = {"A", "B", "C", "D", "At", "Bt", "BCt", "Ct", "BDt", "Dt", "CDt",
-                    "Lt", "BLt", "CLt", "DLt"}
 
 _AFFINE_DISPLAY = {
     "At": "A~", "At11": "A~11", "At12": "A~12", "Bt": "B~", "BCt": "BC~", "Ct": "C~",
@@ -321,21 +321,24 @@ def _infinite_adjacency(family: str) -> PresentedMatrix:
     raise GCMError(f"unknown infinite family {family!r}")
 
 
-def template(dtype: DynkinType) -> PresentedMatrix:
-    """The canonical generalized Cartan matrix of a named type."""
+def _diagram(dtype: DynkinType) -> tuple[dict, int]:
+    """Edge table and vertex count of a classical or affine template."""
     if dtype.kind == "classical":
         rank = _check_rank(CLASSICAL_RANKS, dtype.family, dtype.rank)
-        edges = _classical_adjacency(dtype.family, rank)
-        adjacency = PresentedMatrix(IndexSet.finite(rank), head=edges)
-    elif dtype.kind == "affine":
-        rank = _check_rank(AFFINE_RANKS, dtype.family, dtype.rank)
-        edges, count = _affine_adjacency(dtype.family, rank)
-        adjacency = PresentedMatrix(IndexSet.finite(count), head=edges)
-    else:
-        if dtype.family not in INFINITE_FAMILIES:
-            raise GCMError(f"unknown infinite family {dtype.family!r}")
-        adjacency = _infinite_adjacency(dtype.family)
-    return gcm_of(adjacency)
+        return _classical_adjacency(dtype.family, rank), rank
+    return _affine_adjacency(dtype.family, _check_rank(AFFINE_RANKS, dtype.family, dtype.rank))
+
+
+def _template_adjacency(dtype: DynkinType) -> PresentedMatrix:
+    if dtype.kind == "infinite":
+        return _infinite_adjacency(dtype.family)
+    edges, count = _diagram(dtype)
+    return PresentedMatrix(IndexSet.finite(count), head=edges)
+
+
+def template(dtype: DynkinType) -> PresentedMatrix:
+    """The canonical generalized Cartan matrix of a named type."""
+    return gcm_of(_template_adjacency(dtype))
 
 
 def template_types(max_rank: int = 8) -> list[DynkinType]:
@@ -343,11 +346,8 @@ def template_types(max_rank: int = 8) -> list[DynkinType]:
     out: list[DynkinType] = []
     for table, kind in ((CLASSICAL_RANKS, "classical"), (AFFINE_RANKS, "affine")):
         for family, (minimum, fixed) in table.items():
-            if fixed is not None:
-                if fixed <= max_rank:
-                    out.append(DynkinType(kind, family, fixed))
-            else:
-                out.extend(DynkinType(kind, family, n) for n in range(minimum, max_rank + 1))
+            ranks = range(minimum, max_rank + 1) if fixed is None else (fixed,)
+            out.extend(DynkinType(kind, family, n) for n in ranks if n <= max_rank)
     out.extend(DynkinType("infinite", f) for f in INFINITE_FAMILIES)
     return out
 
@@ -370,7 +370,7 @@ def coxeter_number(dtype: DynkinType) -> int:
 
 def check_coxeter_annihilation(dtype: DynkinType) -> bool:
     """R_{h-1} vanishes on the adjacency matrix of the classical template."""
-    adjacency = graph_of(template(dtype))
+    adjacency = _template_adjacency(dtype)
     h = coxeter_number(dtype)
     return action(adjacency, h - 1).is_zero()
 
@@ -451,11 +451,6 @@ def find_positive_null_vector(gcm: PresentedMatrix) -> PresentedVector | None:
 # -- graph matching ----------------------------------------------------------------
 
 
-def _dense_adjacency(adjacency: PresentedMatrix) -> list[list[int]]:
-    n = adjacency.index.size
-    return adjacency.truncate(n)
-
-
 def _profile(dense: list[list[int]], v: int) -> tuple:
     out = sorted(x for j, x in enumerate(dense[v]) if j != v and x)
     inc = sorted(row[v] for j, row in enumerate(dense) if j != v and row[v])
@@ -472,7 +467,16 @@ def _digraph_isomorphic(a: list[list[int]], b: list[list[int]], movable: int | N
     pb = [_profile(b, v) for v in range(n)]
     if sorted(pa) != sorted(pb):
         return False
-    order = sorted(range(n), key=lambda v: (v < movable, pa.count(pa[v]), v))
+    # pinned vertices first; after them always a vertex next to one already
+    # placed (rarest profile first), so a wrong image fails at the next level
+    rarity = [pa.count(p) for p in pa]
+    order: list[int] = []
+    rest, touched = set(range(n)), set()
+    while rest:
+        v = min(rest, key=lambda v: (v < movable, v not in touched, rarity[v], v))
+        order.append(v)
+        rest.remove(v)
+        touched.update(w for w in rest if a[v][w] or a[w][v])
     image: list[int | None] = [None] * n
     used = [False] * n
 
@@ -570,45 +574,35 @@ def _unrecognized(reason: str) -> Classification:
     return Classification("unrecognized", None, {"reason": reason})
 
 
-def classify_finite(gcm: PresentedMatrix) -> Classification:
+def _classify_finite(gcm: PresentedMatrix, adjacency: PresentedMatrix) -> Classification:
     n = gcm.index.size
-    adjacency = graph_of(gcm)
-    dense = _dense_adjacency(adjacency)
+    dense = adjacency.truncate(n)
     if n == 0 or len(reachable(0, undirected(dense))) != n:
         return _unrecognized("diagram is not connected")
     minors = leading_minors(dict(enumerate(row)) for row in gcm.truncate(n))
     if all(m > 0 for m in minors):
-        for family, (minimum, fixed) in CLASSICAL_RANKS.items():
-            rank = fixed if fixed is not None else n
-            if rank != n or n < minimum:
-                continue
-            dtype = DynkinType("classical", family, rank)
-            if _digraph_isomorphic(dense, _dense_adjacency(graph_of(template(dtype)))):
-                certificate = {
-                    "minors": minors,
-                    "coxeter_number": coxeter_number(dtype),
-                    "annihilation": check_coxeter_annihilation(dtype),
-                }
-                return Classification("classical", dtype, certificate)
-        return _unrecognized("positive definite but matches no classical template")
-    null = find_positive_null_vector(gcm)
-    if null is None:
-        return _unrecognized("neither positive definite nor a positive null vector")
-    for family, (minimum, fixed) in AFFINE_RANKS.items():
-        ranks: Iterable[int]
-        if fixed is not None:
-            ranks = (fixed,)
-        else:
-            ranks = range(minimum, n + 1)
-        for rank in ranks:
-            dtype = DynkinType("affine", family, rank)
-            candidate = template(dtype)
-            if candidate.index.size != n:
-                continue
-            if _digraph_isomorphic(dense, _dense_adjacency(graph_of(candidate))):
-                certificate = {"null_vector": list(null.head)}
-                return Classification("affine", dtype, certificate)
-    return _unrecognized("positive null vector but matches no affine template")
+        kind, proof, certificate = "classical", "positive definite", {"minors": minors}
+    else:
+        null = find_positive_null_vector(gcm)
+        if null is None:
+            return _unrecognized("neither positive definite nor a positive null vector")
+        kind, proof = "affine", "positive null vector"
+        certificate = {"null_vector": list(null.head)}
+    for dtype in template_types(n):
+        if dtype.kind != kind:
+            continue
+        edges, count = _diagram(dtype)
+        if count != n:
+            continue
+        candidate = [[0] * n for _ in range(n)]
+        for (i, j), v in edges.items():
+            candidate[i][j] = v
+        if _digraph_isomorphic(dense, candidate):
+            if kind == "classical":
+                certificate["coxeter_number"] = coxeter_number(dtype)
+                certificate["annihilation"] = check_coxeter_annihilation(dtype)
+            return Classification(kind, dtype, certificate)
+    return _unrecognized(f"{proof} but matches no {kind} template")
 
 
 def classify(gcm: PresentedMatrix) -> Classification:
@@ -619,7 +613,7 @@ def classify(gcm: PresentedMatrix) -> Classification:
     except GCMError as exc:
         return _unrecognized(str(exc))
     if gcm.index.kind == "finite":
-        return classify_finite(gcm)
+        return _classify_finite(gcm, adjacency)
     if not _infinite_connected(adjacency):
         return _unrecognized("could not certify connectivity of the infinite diagram")
     null = find_positive_null_vector(gcm)

@@ -21,7 +21,7 @@ from functools import cache, lru_cache
 from importlib import resources
 
 from . import oracles
-from .dynkin import Classification, DynkinType, GCMError, classify, gcm_of
+from .dynkin import INFINITE_FAMILIES, Classification, DynkinType, GCMError, classify, gcm_of
 from .fusion import action
 from .kernels import reachable
 from .obstruction import ObstructionReport, PreconditionFailed, solve_feasibility
@@ -411,7 +411,7 @@ WEIGHT_CLASSES = (
     "negative-integer",
 )
 
-_INF = {f: DynkinType("infinite", f) for f in ("Ainf", "Ainfinf", "Binf", "Cinf", "Dinf", "Tinf")}
+_INF = {f: DynkinType("infinite", f) for f in INFINITE_FAMILIES}
 
 
 def predict_weight_module_type(weight_class: str, special_fixed: bool = False) -> TypePrediction:

@@ -116,17 +116,16 @@ def _rule_equal(x: tuple, y: tuple, event: dict):
     return run
 
 
-def _rule_sum_eq(keys: list, constant: int, target: int, event: dict):
-    # sum(keys) + constant == target
+def _rule_sum_eq(keys: list, target: int, event: dict):
+    # sum(keys) == target
     def run(state: _State) -> None:
         lows = [state.domains[k][0] for k in keys]
         highs = [state.domains[k][1] for k in keys]
-        total_lo, total_hi = sum(lows) + constant, sum(highs) + constant
-        if total_lo > target or total_hi < target:
+        if sum(lows) > target or sum(highs) < target:
             raise _Violation({**event, "status": "violated"})
         for idx, key in enumerate(keys):
-            lo = target - constant - (sum(highs) - highs[idx])
-            hi = target - constant - (sum(lows) - lows[idx])
+            lo = target - (sum(highs) - highs[idx])
+            hi = target - (sum(lows) - lows[idx])
             state.narrow(key, lo, hi, event)
     run.keys = tuple(keys)
     return run
@@ -330,7 +329,7 @@ def _build_rules(comps: dict, depth: int, schur_dim: int, state: _State) -> list
                     "constraint": "end-dim", "degree": a, "object": j, "side": word,
                     "identity": f"dim End(F_{a} S_{j}) = {terms} = {schur_dim}",
                 }
-                rules.append(_rule_sum_eq(keys, 0, schur_dim, event))
+                rules.append(_rule_sum_eq(keys, schur_dim, event))
 
     for (a, j), comp in comps.items():
         if a == 0:

@@ -625,11 +625,23 @@ def test_predict_flag_combinations_exit_2(capsys):
         ("predict", "--theorem", "10.2", "--weight-class", "nonneg-integer"),
         ("predict", "--theorem", "10.2", "--case", "c"),
         ("predict", "--theorem", "10.1", "--case", "z"),
+        ("predict", "--theorem", "10.1", "--weight-class", "nonneg-integer",
+         "--special-fixed"),
+        ("predict", "--theorem", "10.1", "--weight-class", "non-half-integer",
+         "--special-fixed"),
+        ("predict", "--theorem", "10.1", "--weight-class", "negative-integer",
+         "--special-fixed"),
+        ("predict", "--theorem", "10.2", "--dim", "0", "--nilpotent"),
+        ("predict", "--theorem", "10.2", "--dim", "2", "--semisimple"),
+        ("predict", "--theorem", "10.2", "--dim", "3", "--nilpotent"),
+        ("predict", "--theorem", "10.2", "--case", "a", "--semisimple"),
+        ("predict", "--theorem", "10.2", "--case", "b", "--nilpotent"),
     ]
     for argv in cases:
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 2, argv
-        assert err != ""
+        assert out == ""
+        assert err.startswith("usage error: "), argv
 
 
 # -- installed script ---------------------------------------------------------------------

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -206,6 +208,49 @@ def test_classical_permutation_invariance(perm):
     assert result.dtype == DynkinType("classical", "D", 4)
 
 
+def _relabel(gcm, rng):
+    n = gcm.index.size
+    dense = gcm.truncate(n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return finite_gcm([[dense[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+
+
+def test_relabelled_finite_templates_classify_to_themselves():
+    rng = random.Random(9)
+    for dtype in template_types(9):
+        if dtype.kind == "infinite":
+            continue
+        result = classify(_relabel(template(dtype), rng))
+        assert (result.kind, result.dtype) == (dtype.kind, dtype), result.certificate
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the block once it has run for seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_relabelled_long_diagrams_classify_quickly():
+    # the matcher places each vertex next to one already placed; an order
+    # by profile rarity alone never returned on a relabelled A_40
+    rng = random.Random(40)
+    for dtype in (DynkinType("classical", "A", 40), DynkinType("classical", "D", 30),
+                  DynkinType("affine", "Lt", 30)):
+        gcm = _relabel(template(dtype), rng)
+        with _time_limit(2.0):
+            result = classify(gcm)
+        assert result.dtype == dtype
+
+
 def _relabel_head(adjacency, perm):
     """The nat-indexed diagram with vertex perm[i] renamed i for i < len(perm)."""
     window = len(perm)
@@ -248,8 +293,12 @@ def test_relabeled_infinite_head_still_matches():
 
 def test_one_vertex_cases():
     assert classify(finite_gcm([[2]])).dtype == DynkinType("classical", "A", 1)
-    assert classify(finite_gcm([[1]])).kind == "unrecognized"
-    assert classify(finite_gcm([[0]])).kind == "unrecognized"
+    assert classify(finite_gcm([[1]])).to_json() == {
+        "kind": "unrecognized", "type": None,
+        "certificate": {"reason": "positive definite but matches no classical template"}}
+    assert classify(finite_gcm([[0]])).to_json() == {
+        "kind": "unrecognized", "type": None,
+        "certificate": {"reason": "positive null vector but matches no affine template"}}
 
 
 def test_unrecognized_outcomes():
