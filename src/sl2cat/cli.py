@@ -14,6 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import __version__, modcat, oracles
@@ -568,6 +569,7 @@ def _add_model(p: argparse.ArgumentParser) -> None:
                    help="catalog model name or JSON model/matrix file")
 
 
+@cache  # built on the first main() call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sl2cat",

@@ -418,7 +418,7 @@ def find_positive_null_vector(gcm: PresentedMatrix) -> PresentedVector | None:
     else:
         head_len = gcm.head_size + gcm.band
         unknowns = head_len + 2  # v_0..v_{H-1}, a, b
-        boundary = max(gcm.head_extent(), gcm.head_size + gcm.band, head_len + gcm.band)
+        boundary = max(gcm.tail_start(), head_len + gcm.band)
         rows: list[dict[int, int]] = []
         for i in range(boundary):
             row: dict[int, int] = {}
@@ -546,7 +546,7 @@ def _infinite_connected(adjacency: PresentedMatrix) -> bool:
     if adjacency.index.kind == "int":
         # steps generate the subgroup gcd(offsets)*Z
         return gcd(*(abs(d) for d in offdiag)) == 1
-    window = max(adjacency.head_extent(), adjacency.head_size + adjacency.band) + adjacency.band
+    window = adjacency.tail_start() + adjacency.band
     seen = reachable(0, undirected(adjacency.truncate(window + 2 * adjacency.band)))
     return all(v in seen for v in range(window))
 

@@ -191,7 +191,7 @@ def is_transitive(m: ModuleCategoryModel) -> Transitivity:
             if d != 0 and v != 0:
                 g = gcd(g, abs(d))
         return Transitivity.YES if g == 1 else Transitivity.NO
-    window = max(f1.head_size + 2 * f1.band, f1.head_extent() + f1.band)
+    window = f1.tail_start() + f1.band
     if _strongly_connected(f1.truncate(window)):
         return Transitivity.YES
     return Transitivity.UNKNOWN

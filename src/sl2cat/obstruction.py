@@ -116,31 +116,22 @@ def _rule_equal(x: tuple, y: tuple, event: dict):
     return run
 
 
-def _rule_sum_eq(keys: list, target: int, event: dict):
-    # sum(keys) == target
-    def run(state: _State) -> None:
-        lows = [state.domains[k][0] for k in keys]
-        highs = [state.domains[k][1] for k in keys]
-        if sum(lows) > target or sum(highs) < target:
-            raise _Violation({**event, "status": "violated"})
-        for idx, key in enumerate(keys):
-            lo = target - (sum(highs) - highs[idx])
-            hi = target - (sum(lows) - lows[idx])
-            state.narrow(key, lo, hi, event)
-    run.keys = tuple(keys)
-    return run
+def _bound_sum(state: _State, keys: list, low: int, high: int | None, event: dict) -> None:
+    """Narrow each key so that low <= sum(keys) <= high (None: no upper bound)."""
+    lows = [state.domains[k][0] for k in keys]
+    highs = [state.domains[k][1] for k in keys]
+    sum_lo, sum_hi = sum(lows), sum(highs)
+    if high is None:
+        high = sum_hi  # never binds
+    if sum_lo > high or sum_hi < low:
+        raise _Violation({**event, "status": "violated"})
+    for key, lo, hi in zip(keys, lows, highs):
+        state.narrow(key, low - (sum_hi - hi), high - (sum_lo - lo), event)
 
 
-def _rule_sum_ge(keys: list, target: int, event: dict):
+def _rule_sum(keys: list, low: int, high: int | None, event: dict):
     def run(state: _State) -> None:
-        lows = [state.domains[k][0] for k in keys]
-        highs = [state.domains[k][1] for k in keys]
-        if sum(highs) < target:
-            raise _Violation({**event, "status": "violated"})
-        for idx, key in enumerate(keys):
-            lo = target - (sum(highs) - highs[idx])
-            if lo > lows[idx]:
-                state.narrow(key, lo, state.domains[key][1], event)
+        _bound_sum(state, keys, low, high, event)
     run.keys = tuple(keys)
     return run
 
@@ -148,15 +139,6 @@ def _rule_sum_ge(keys: list, target: int, event: dict):
 def _rule_semisimple(t_keys: list, s_keys: list, comp: dict, order: list, length: int, event: dict):
     # top equals everything <=> the module is semisimple <=> socle equals
     # everything; propagated in both directions, including the contrapositive
-    def cap(state: _State, keys: list, bound: int) -> None:
-        lows = [state.domains[k][0] for k in keys]
-        if sum(lows) > bound:
-            raise _Violation({**event, "status": "violated"})
-        for idx, key in enumerate(keys):
-            hi = bound - (sum(lows) - lows[idx])
-            if hi < state.domains[key][1]:
-                state.narrow(key, state.domains[key][0], hi, event)
-
     def run(state: _State) -> None:
         t_lo = sum(state.domains[k][0] for k in t_keys)
         s_lo = sum(state.domains[k][0] for k in s_keys)
@@ -167,9 +149,9 @@ def _rule_semisimple(t_keys: list, s_keys: list, comp: dict, order: list, length
             for k, kk in zip(t_keys, order):
                 state.narrow(k, comp[kk], comp[kk], event)
         if any(state.domains[k][1] < comp[kk] for k, kk in zip(s_keys, order)):
-            cap(state, t_keys, length - 1)
+            _bound_sum(state, t_keys, 0, length - 1, event)
         if any(state.domains[k][1] < comp[kk] for k, kk in zip(t_keys, order)):
-            cap(state, s_keys, length - 1)
+            _bound_sum(state, s_keys, 0, length - 1, event)
     run.keys = (*t_keys, *s_keys)
     return run
 
@@ -294,22 +276,17 @@ def _build_rules(comps: dict, depth: int, schur_dim: int, state: _State) -> list
                 if (a, k) not in comps:
                     continue
                 mirror = comps[(a, k)]
-                event = {
-                    "constraint": "adjunction", "degree": a, "object": j, "factor": k,
-                    "identity": f"[top F_{a} S_{j} : S_{k}] = [socle F_{a} S_{k} : S_{j}]",
-                }
-                if j in mirror:
-                    rules.append(_rule_equal(("t", a, j, k), ("s", a, k, j), event))
-                else:
-                    state.narrow(("t", a, j, k), 0, 0, event)
-                event2 = {
-                    "constraint": "adjunction", "degree": a, "object": j, "factor": k,
-                    "identity": f"[socle F_{a} S_{j} : S_{k}] = [top F_{a} S_{k} : S_{j}]",
-                }
-                if j in mirror:
-                    rules.append(_rule_equal(("s", a, j, k), ("t", a, k, j), event2))
-                else:
-                    state.narrow(("s", a, j, k), 0, 0, event2)
+                for side, word, dual, dual_word in (("t", "top", "s", "socle"),
+                                                    ("s", "socle", "t", "top")):
+                    event = {
+                        "constraint": "adjunction", "degree": a, "object": j, "factor": k,
+                        "identity": (f"[{word} F_{a} S_{j} : S_{k}]"
+                                     f" = [{dual_word} F_{a} S_{k} : S_{j}]"),
+                    }
+                    if j in mirror:
+                        rules.append(_rule_equal((side, a, j, k), (dual, a, k, j), event))
+                    else:
+                        state.narrow((side, a, j, k), 0, 0, event)
 
     # endomorphism dimension of a simple image, written through adjunction:
     # dim End(F_a S_j) = sum over c in CG(a,a) of [socle F_c S_j : S_j]
@@ -329,7 +306,7 @@ def _build_rules(comps: dict, depth: int, schur_dim: int, state: _State) -> list
                     "constraint": "end-dim", "degree": a, "object": j, "side": word,
                     "identity": f"dim End(F_{a} S_{j}) = {terms} = {schur_dim}",
                 }
-                rules.append(_rule_sum_eq(keys, schur_dim, event))
+                rules.append(_rule_sum(keys, schur_dim, schur_dim, event))
 
     for (a, j), comp in comps.items():
         if a == 0:
@@ -344,7 +321,7 @@ def _build_rules(comps: dict, depth: int, schur_dim: int, state: _State) -> list
                     "constraint": "nonzero", "degree": a, "object": j, "side": word,
                     "identity": f"{word} of F_{a} S_{j} is nonzero",
                 }
-                rules.append(_rule_sum_ge(keys, 1, event))
+                rules.append(_rule_sum(keys, 1, None, event))
         if length == 2:
             # every factor of a length-two module lies in its top or socle
             for k in comp:
@@ -353,7 +330,7 @@ def _build_rules(comps: dict, depth: int, schur_dim: int, state: _State) -> list
                     "identity": (f"[top F_{a} S_{j} : S_{k}] + [socle F_{a} S_{j} : S_{k}]"
                                  f" >= {comp[k]}"),
                 }
-                rules.append(_rule_sum_ge([("t", a, j, k), ("s", a, j, k)], comp[k], event))
+                rules.append(_rule_sum([("t", a, j, k), ("s", a, j, k)], comp[k], None, event))
         if 2 <= length <= 4:
             order = sorted(comp)
             event = {

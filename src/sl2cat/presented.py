@@ -6,10 +6,15 @@ banded Toeplitz "tail": for min(i, j) >= head_size the entry depends only
 on the offset d = j - i, is zero for |d| > band, and equals diagonals[d]
 otherwise.  Matrices indexed by Z are pure Toeplitz (empty head), and
 matrices over a finite index set are all head.  Every row and every column
-has finite support, so products are given by finite exact sums.  On the
-natural numbers a product is formed structurally: its tail is the product
-of the two tails' symbols, and only the rows and columns below the larger
-head block plus a band need explicit sparse sums.
+has finite support, so products are given by finite exact sums.
+tail_start() is the first index whose row and column hold only tail
+entries (the size on a finite index set).  add and apply take one path on
+every index set: a sum adds the stored heads and writes each term's tail
+out only on the edges between its own head size and the larger one, and
+apply computes the rows below tail_start explicitly.  A product's tail is
+the product of the two tails' symbols, and only the rows and columns below
+the larger tail_start need sparse sums; mul keeps a head-only branch for
+finite matrices, which skips the per-row scans that dominate on sparse ones.
 
 Vectors follow the same pattern with an eventually affine tail
 v_i = a * i + b (a single constant for Z-indexed vectors).
@@ -218,6 +223,11 @@ class PresentedMatrix:
         """One past the largest coordinate mentioned by a stored head entry."""
         return max((max(i, j) + 1 for (i, j) in self._head), default=0)
 
+    def tail_start(self) -> int:
+        """First index whose row and column hold only tail entries: past it no
+        head entry is stored and every band neighbour lies past the head."""
+        return max(self.head_size + self.band, self.head_extent())
+
     def diagonals(self) -> dict[int, int]:
         return dict(self._diags)
 
@@ -232,7 +242,7 @@ class PresentedMatrix:
             return
         for j, v in self._rows.get(i, {}).items():
             yield j, v
-        if self.index.kind == "nat" and i >= self.head_size:
+        if i >= self.head_size:
             for d, v in self._diags.items():
                 j = i + d
                 if j >= self.head_size:
@@ -246,7 +256,7 @@ class PresentedMatrix:
             return
         for i, v in self._cols.get(j, {}).items():
             yield i, v
-        if self.index.kind == "nat" and j >= self.head_size:
+        if j >= self.head_size:
             for d, v in self._diags.items():
                 i = j - d
                 if i >= self.head_size:
@@ -313,21 +323,17 @@ class PresentedMatrix:
         diags: dict[int, int] = dict(self._diags)
         for d, v in other._diags.items():
             diags[d] = diags.get(d, 0) + v
-        if self.index.kind != "nat":
-            head = dict(self._head)
-            for k, v in other._head.items():
-                head[k] = head.get(k, 0) + v
-            return PresentedMatrix(self.index, self.head_size, head, diags)
         n = max(self.head_size, other.head_size)
-        head = {}
+        head = dict(self._head)
+        for k, v in other._head.items():
+            head[k] = head.get(k, 0) + v
+        # a term's tail fills the edges min(i, j) = e from its own head size
+        # up to the sum's, one entry per diagonal
         for term in (self, other):
-            for i in range(n):
-                for j, v in term.row_entries(i):
-                    head[(i, j)] = head.get((i, j), 0) + v
-            for j in range(n):
-                for i, v in term.col_entries(j):
-                    if i >= n:
-                        head[(i, j)] = head.get((i, j), 0) + v
+            for e in range(term.head_size, n):
+                for d, v in term._diags.items():
+                    k = (e, e + d) if d >= 0 else (e - d, e)
+                    head[k] = head.get(k, 0) + v
         return PresentedMatrix(self.index, n, head, diags)
 
     def scale(self, c: int) -> "PresentedMatrix":
@@ -349,6 +355,7 @@ class PresentedMatrix:
         if self.index.kind == "int":
             return PresentedMatrix(self.index, diagonals=diags)
         if self.index.kind == "finite":
+            # kept: skips the banded path's per-row scans, which dominate on sparse finite matrices
             head: dict[tuple[int, int], int] = {}
             for (i, k), av in self._head.items():
                 row_b = other._rows.get(k)
@@ -356,12 +363,7 @@ class PresentedMatrix:
                     for j, bv in row_b.items():
                         head[(i, j)] = head.get((i, j), 0) + av * bv
             return PresentedMatrix(self.index, head={k: v for k, v in head.items() if v})
-        m = max(
-            self.head_size + self.band,
-            self.head_extent(),
-            other.head_size + other.band,
-            other.head_extent(),
-        )
+        m = max(self.tail_start(), other.tail_start())
         head = {}
         rows_b = [list(other.row_entries(k)) for k in range(m + self.band)]
         for i in range(m):
@@ -398,18 +400,10 @@ class PresentedMatrix:
         """
         if self.index != vec.index:
             raise PresentationError("index sets differ")
-        if self.index.kind == "finite":
-            n = self.index.size
-            vals = [sum(v * vec.entry(j) for j, v in self.row_entries(i)) for i in range(n)]
-            return PresentedVector(self.index, vals)
         if self.index.kind == "int":
             b = sum(v * vec.tail_b for v in self._diags.values())
             return PresentedVector(self.index, (), 0, b)
-        boundary = max(
-            self.head_extent(),
-            self.head_size + self.band,
-            len(vec.head) + self.band,
-        )
+        boundary = max(self.tail_start(), len(vec.head) + self.band)
         head = [
             sum(v * vec.entry(j) for j, v in self.row_entries(i)) for i in range(boundary)
         ]

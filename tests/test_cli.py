@@ -137,6 +137,31 @@ def test_unknown_verb_exit_2(capsys):
     assert code == 2
 
 
+def test_repeated_calls_in_one_process_match_their_goldens(capsys, monkeypatch, tmp_path, a2_file):
+    # main() reuses one parser; each call must still read only its own argv
+    monkeypatch.setenv("COLUMNS", "100")
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"index": "nat"')
+    for _ in range(2):
+        assert run(capsys, "classify") == (2, "", (
+            "usage: sl2cat classify [-h] --gcm FILE [--certificate] [--components] [--json]\n"
+            "sl2cat classify: error: the following arguments are required: --gcm\n"))
+        assert run(capsys, "classify", "--gcm", str(bad)) == (3, "", (
+            f"error: {bad} is not valid JSON: Expecting ',' delimiter: "
+            "line 1 column 16 (char 15)\n"))
+        assert run(capsys, "classify", "--gcm", a2_file) == (0, "Classical A_2 (h=3)\n", "")
+        assert run(capsys, "derive", "--model", "Ainf", "--upto", "1", "--window", "3") == (0, (
+            "model Ainf (basis projectives)\n"
+            "F_0: head size 0 {}, tail diagonals {0: 1}\n"
+            "     1  0  0\n"
+            "     0  1  0\n"
+            "     0  0  1\n"
+            "F_1: head size 0 {}, tail diagonals {-1: 1, +1: 1}\n"
+            "     0  1  0\n"
+            "     1  0  1\n"
+            "     0  1  0\n"), "")
+
+
 # -- derive / transitive ---------------------------------------------------------
 
 

@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import random
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -225,28 +223,14 @@ def test_relabelled_finite_templates_classify_to_themselves():
         assert (result.kind, result.dtype) == (dtype.kind, dtype), result.certificate
 
 
-@contextmanager
-def _time_limit(seconds):
-    """Raise TimeoutError in the block once it has run for seconds."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def test_relabelled_long_diagrams_classify_quickly():
+def test_relabelled_long_diagrams_classify_quickly(time_limit):
     # the matcher places each vertex next to one already placed; an order
     # by profile rarity alone never returned on a relabelled A_40
     rng = random.Random(40)
     for dtype in (DynkinType("classical", "A", 40), DynkinType("classical", "D", 30),
                   DynkinType("affine", "Lt", 30)):
         gcm = _relabel(template(dtype), rng)
-        with _time_limit(2.0):
+        with time_limit(2.0):
             result = classify(gcm)
         assert result.dtype == dtype
 

@@ -92,6 +92,7 @@ def test_finite_matrix_round_trip_dense():
     m = PresentedMatrix.from_dense(rows)
     assert m.truncate(3) == rows
     assert m.index == IndexSet.finite(3)
+    assert m.tail_start() == 3
 
 
 # -- arithmetic against the dense oracle ---------------------------------------
@@ -134,6 +135,11 @@ small_int_matrices = st.builds(
     st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=5),
 )
 
+small_finite_matrices = st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=n, max_size=n)
+).map(PresentedMatrix.from_dense)
+
 
 def dense_window(m: PresentedMatrix, n: int, lo: int = 0) -> list[list[int]]:
     return [[m.entry(i, j) for j in range(lo, lo + n)] for i in range(lo, lo + n)]
@@ -165,6 +171,22 @@ def test_add_matches_dense_oracle(a, b):
     window = max(past_the_tail(total), past_the_tail(a), past_the_tail(b))
     dense = refimpl.mat_add(dense_window(a, window), dense_window(b, window))
     assert dense_window(total, window) == dense
+
+
+def test_add_of_a_huge_shared_head_is_structural(time_limit):
+    a = PresentedMatrix(NAT, 10**9, diagonals={1: 1})
+    with time_limit(2.0):
+        total = a.add(a)
+    assert total == PresentedMatrix(NAT, 10**9, diagonals={1: 2})
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_nat_matrices)
+def test_rows_and_columns_from_tail_start_hold_only_the_tail(m):
+    start, tail = m.tail_start(), m.diagonals()
+    for i in range(start, start + 4):
+        assert dict(m.row_entries(i)) == {i + d: v for d, v in tail.items()}
+        assert dict(m.col_entries(i)) == {i - d: v for d, v in tail.items()}
 
 
 @settings(max_examples=100, deadline=None)
@@ -219,19 +241,36 @@ def test_transpose_involution(a):
     ]
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    small_nat_matrices,
-    st.lists(st.integers(-4, 4), min_size=0, max_size=4),
-    st.integers(-2, 2),
-    st.integers(-3, 3),
-)
-def test_apply_matches_dense_window(m, head, a, b):
-    vec = PresentedVector(NAT, head, a, b)
+def vectors_for(m: PresentedMatrix):
+    """Vectors on m's index set: full length, affine tail, or one constant."""
+    if m.index.kind == "finite":
+        n = m.index.size
+        return st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(
+            lambda head: PresentedVector(m.index, head))
+    if m.index.kind == "int":
+        return st.integers(-3, 3).map(lambda b: PresentedVector(INT, (), 0, b))
+    return st.builds(
+        lambda head, a, b: PresentedVector(NAT, head, a, b),
+        st.lists(st.integers(-4, 4), min_size=0, max_size=4),
+        st.integers(-2, 2),
+        st.integers(-3, 3),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_nat_matrices, small_finite_matrices, small_int_matrices).flatmap(
+    lambda m: st.tuples(st.just(m), vectors_for(m))))
+def test_apply_matches_dense_window(pair):
+    m, vec = pair
     result = m.apply(vec)
-    for i in range(12):
-        expected = sum(v * vec.entry(j) for j, v in m.row_entries(i))
-        assert result.entry(i) == expected
+    if m.index.kind == "finite":
+        rows = cols = range(m.index.size)
+    elif m.index.kind == "int":
+        rows, cols = range(-6, 6), range(-6 - m.band, 6 + m.band)
+    else:
+        rows, cols = range(12), range(max(12 + m.band, m.head_extent()))
+    for i in rows:
+        assert result.entry(i) == sum(m.entry(i, j) * vec.entry(j) for j in cols)
 
 
 def test_apply_certifies_affine_tail():
