@@ -200,17 +200,17 @@ def is_transitive(m: ModuleCategoryModel) -> Transitivity:
 # -- classification ---------------------------------------------------------------
 
 
-def classify_type(m: ModuleCategoryModel, upto: int = 12) -> Classification:
+def classify_type(m: ModuleCategoryModel) -> Classification:
     """Diagram type of a transitive categorifiable model.
 
     The projectives-basis action matrix is read as the adjacency matrix
     of a diagram whose generalized Cartan matrix is then classified with
     an exact certificate.  Models that are not transitive or not
-    categorifiable raise PreconditionFailed; a model whose matrix
+    categorifiable up to F_12 raise PreconditionFailed; a model whose matrix
     supports no strictly positive eventually-affine null vector comes
     back unrecognized rather than guessed.
     """
-    ok, first = check_categorifiability(m, upto)
+    ok, first = check_categorifiability(m)
     if not ok:
         raise PreconditionFailed(
             f"model is not categorifiable: derived matrix {first} has a negative entry"

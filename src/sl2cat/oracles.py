@@ -195,15 +195,15 @@ def _chain_character(mu: int, lo: int, hi: int) -> dict[int, int]:
     return {w: 1 for w in range(mu, hi + 1, 2) if w >= lo}
 
 
-def borel_tensor_N(mu_offset: int, check_depth: int = 20) -> tuple[int, int]:
+def borel_tensor_N(mu_offset: int) -> tuple[int, int]:
     """Chain rule for the rank-one U(e)-free weight modules.
 
     Returns the two summand offsets (mu+1, mu-1) after re-deriving them by
-    greedy lowest-weight subtraction on truncated characters; the module
-    at offset mu has weights mu, mu+2, mu+4, ... each of multiplicity one.
+    greedy lowest-weight subtraction on characters cut to weights mu-1..mu+39;
+    the module at offset mu has weights mu, mu+2, mu+4, ... each once.
     """
     mu = mu_offset
-    lo, hi = mu - 1, mu - 1 + 2 * check_depth
+    lo, hi = mu - 1, mu - 1 + 2 * 20
     product: dict[int, int] = {}
     for w in _chain_character(mu, lo - 1, hi + 1):
         for s in (-1, 1):
@@ -735,15 +735,15 @@ def restriction_consistency_solve(
     return _solve_branches(system, entry, truncation)
 
 
-def restriction_action_matrix(system: str, window: int = 12) -> PresentedMatrix:
+def restriction_action_matrix(system: str) -> PresentedMatrix:
     """Action matrix encoded by a named system's tensor relations.
 
     Objects are ordered as the solver reports them (the forked system puts
-    its two branch objects first).  Columns 0..window-1 are certified
-    against the characters by the solver's column check before returning.
+    its two branch objects first).  Columns 0..11 are certified against
+    the characters by the solver's column check before returning.
     """
     entry = _system(system)
-    report = _certify(system, entry, entry.character, window)
+    report = _certify(system, entry, entry.character, 12)
     if report.status == "infeasible":
         raise RuntimeError(
             f"column {report.relations_checked} of the {system} matrix fails its relation")

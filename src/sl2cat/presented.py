@@ -5,16 +5,18 @@ A matrix indexed by the natural numbers is presented by a finite sparse
 banded Toeplitz "tail": for min(i, j) >= head_size the entry depends only
 on the offset d = j - i, is zero for |d| > band, and equals diagonals[d]
 otherwise.  Matrices indexed by Z are pure Toeplitz (empty head), and
-matrices over a finite index set are all head.  Every row and every column
+matrices over a finite index set are all head.  The head is held once, as
+a map from each row to its {column: value} entries and the transposed map
+from each column to its {row: value} entries.  Every row and every column
 has finite support, so products are given by finite exact sums.
 tail_start() is the first index whose row and column hold only tail
-entries (the size on a finite index set).  add and apply take one path on
-every index set: a sum adds the stored heads and writes each term's tail
-out only on the edges between its own head size and the larger one, and
-apply computes the rows below tail_start explicitly.  A product's tail is
-the product of the two tails' symbols, and only the rows and columns below
-the larger tail_start need sparse sums; mul keeps a head-only branch for
-finite matrices, which skips the per-row scans that dominate on sparse ones.
+entries (the size on a finite index set).  add, mul and apply take one
+path on every index set: a sum adds the stored heads and writes each
+term's tail out only on the edges between its own head size and the larger
+one, and apply computes the rows below tail_start explicitly.  A product's
+tail is the product of the two tails' symbols; below the larger tail_start
+it sums over the stored rows and the tail rows past each head size, so a
+product under a shared huge head costs its band, not its head size.
 
 Vectors follow the same pattern with an eventually affine tail
 v_i = a * i + b (a single constant for Z-indexed vectors).
@@ -119,7 +121,7 @@ def _as_int(value) -> int:
 class PresentedMatrix:
     """Immutable countably-indexed integer matrix in head + Toeplitz-tail form."""
 
-    __slots__ = ("index", "head_size", "_head", "band", "_diags", "_rows", "_cols")
+    __slots__ = ("index", "head_size", "band", "_diags", "_rows", "_cols")
 
     def __init__(
         self,
@@ -128,9 +130,8 @@ class PresentedMatrix:
         head: Mapping[tuple[int, int], int] | Iterable[tuple[int, int, int]] = (),
         diagonals: Mapping[int, int] | None = None,
     ):
-        diagonals = dict(diagonals or {})
         if isinstance(head, Mapping):
-            entries = {k: v for k, v in head.items()}
+            entries = head
         else:
             entries = {}
             for i, j, v in head:
@@ -138,45 +139,49 @@ class PresentedMatrix:
                 if key in entries:
                     raise PresentationError(f"duplicate head entry at {key}")
                 entries[key] = v
-        entries = {k: _as_int(v) for k, v in entries.items() if v != 0}
-        diagonals = {_as_int(d): _as_int(v) for d, v in diagonals.items() if v != 0}
+        diagonals = {_as_int(d): _as_int(v) for d, v in dict(diagonals or {}).items() if v != 0}
 
-        if index.kind == "finite":
+        finite = index.kind == "finite"
+        if finite:
             n = index.size
             if diagonals:
                 raise PresentationError("finite matrices have no Toeplitz tail")
             head_size = n
-            for (i, j) in entries:
-                if not (0 <= i < n and 0 <= j < n):
-                    raise PresentationError(f"entry ({i},{j}) outside finite index 0..{n - 1}")
         elif index.kind == "int":
-            if head_size != 0 or entries:
+            if head_size != 0 or any(v != 0 for v in entries.values()):
                 raise PresentationError("Z-indexed matrices must be pure Toeplitz")
-        else:
-            if head_size < 0:
-                raise PresentationError("head_size must be >= 0")
-            for (i, j) in entries:
-                if i < 0 or j < 0:
-                    raise PresentationError(f"entry ({i},{j}) outside natural index")
-                if min(i, j) >= head_size:
-                    raise PresentationError(
-                        f"entry ({i},{j}) outside declared head region (head_size={head_size})"
-                    )
+        elif head_size < 0:
+            raise PresentationError("head_size must be >= 0")
 
-        band = max((abs(d) for d in diagonals), default=0)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "head_size", head_size)
-        object.__setattr__(self, "_head", entries)
-        object.__setattr__(self, "band", band)
-        object.__setattr__(self, "_diags", diagonals)
-        self._normalize()
+        # rows[i][j] = cols[j][i] = entry (i, j); each new row or column key is checked once
         rows: dict[int, dict[int, int]] = {}
         cols: dict[int, dict[int, int]] = {}
-        for (i, j), v in self._head.items():
-            rows.setdefault(i, {})[j] = v
-            cols.setdefault(j, {})[i] = v
+        for (i, j), v in entries.items():
+            if v == 0:
+                continue
+            if i not in rows:
+                rows[_as_int(i)] = {}
+            if j not in cols:
+                cols[_as_int(j)] = {}
+            if finite:
+                if not (0 <= i < n and 0 <= j < n):
+                    raise PresentationError(f"entry ({i},{j}) outside finite index 0..{n - 1}")
+            elif i < 0 or j < 0:
+                raise PresentationError(f"entry ({i},{j}) outside natural index")
+            elif i >= head_size and j >= head_size:
+                raise PresentationError(
+                    f"entry ({i},{j}) outside declared head region (head_size={head_size})"
+                )
+            rows[i][j] = cols[j][i] = _as_int(v)
+
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "head_size", head_size)
+        object.__setattr__(self, "band", max((abs(d) for d in diagonals), default=0))
+        object.__setattr__(self, "_diags", diagonals)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_cols", cols)
+        if index.kind == "nat":
+            self._normalize()
 
     def __setattr__(self, *_):
         raise AttributeError("PresentedMatrix is immutable")
@@ -184,44 +189,43 @@ class PresentedMatrix:
     def _normalize(self) -> None:
         """Drop boundary edges min(i, j) = n - 1 that agree with the tail.
 
-        An edge agrees exactly when it stores one entry per diagonal, each
-        equal to its tail value, so bucketing the head by edge once makes
-        each drop cost O(its entries).  With no tail, every empty edge above
-        the largest stored one goes at once.
+        Edge e is row e from column e on plus column e below row e.  It
+        agrees exactly when its {offset: value} map equals the tail's, so
+        each drop costs O(its entries).  With no tail, every empty edge
+        above the largest stored one goes at once.
         """
-        if self.index.kind != "nat":
-            return
-        edges: dict[int, list] = {}
-        for (i, j), v in self._head.items():
-            edges.setdefault(min(i, j), []).append(((i, j), v))
-        diags = self._diags
-        n = self.head_size if diags else max(edges, default=-1) + 1
+        rows, cols, diags = self._rows, self._cols, self._diags
+        if diags:
+            n = self.head_size
+        else:
+            n = max((min(i, max(row)) for i, row in rows.items()), default=-1) + 1
         while n > 0:
-            edge = edges.get(n - 1, ())
-            if len(edge) != len(diags) or any(diags.get(j - i) != v for (i, j), v in edge):
+            e = n - 1
+            edge = {j - e: v for j, v in rows.get(e, {}).items() if j >= e}
+            edge.update((e - i, v) for i, v in cols.get(e, {}).items() if i > e)
+            if edge != diags:
                 break
+            for d in edge:
+                i, j = (e, e + d) if d >= 0 else (e - d, e)
+                for lines, a, b in ((rows, i, j), (cols, j, i)):
+                    del lines[a][b]
+                    if not lines[a]:
+                        del lines[a]
             n -= 1
-        head = {k: v for e, edge in edges.items() if e < n for k, v in edge}
-        object.__setattr__(self, "_head", head)
         object.__setattr__(self, "head_size", n)
 
     # -- basic access ----------------------------------------------------
 
-    def _tail_value(self, d: int) -> int:
-        return self._diags.get(d, 0)
-
     def entry(self, i: int, j: int) -> int:
         if not (self.index.contains(i) and self.index.contains(j)):
             raise IndexError(f"({i},{j}) outside index set")
-        if self.index.kind == "int":
-            return self._tail_value(j - i)
-        if min(i, j) < self.head_size:
-            return self._head.get((i, j), 0)
-        return self._tail_value(j - i)
+        if self.index.kind != "int" and min(i, j) < self.head_size:
+            return self._rows.get(i, {}).get(j, 0)
+        return self._diags.get(j - i, 0)
 
     def head_extent(self) -> int:
         """One past the largest coordinate mentioned by a stored head entry."""
-        return max((max(i, j) + 1 for (i, j) in self._head), default=0)
+        return max(max(self._rows, default=-1), max(self._cols, default=-1)) + 1
 
     def tail_start(self) -> int:
         """First index whose row and column hold only tail entries: past it no
@@ -231,8 +235,11 @@ class PresentedMatrix:
     def diagonals(self) -> dict[int, int]:
         return dict(self._diags)
 
+    def _items(self) -> Iterator[tuple[tuple[int, int], int]]:
+        return (((i, j), v) for i, row in self._rows.items() for j, v in row.items())
+
     def head_entries(self) -> list[tuple[int, int, int]]:
-        return sorted((i, j, v) for (i, j), v in self._head.items())
+        return sorted((i, j, v) for (i, j), v in self._items())
 
     def row_entries(self, i: int) -> Iterator[tuple[int, int]]:
         """All (j, value) with entry(i, j) != 0; finite by construction."""
@@ -240,8 +247,7 @@ class PresentedMatrix:
             for d, v in self._diags.items():
                 yield i + d, v
             return
-        for j, v in self._rows.get(i, {}).items():
-            yield j, v
+        yield from self._rows.get(i, {}).items()
         if i >= self.head_size:
             for d, v in self._diags.items():
                 j = i + d
@@ -254,8 +260,7 @@ class PresentedMatrix:
             for d, v in self._diags.items():
                 yield j - d, v
             return
-        for i, v in self._cols.get(j, {}).items():
-            yield i, v
+        yield from self._cols.get(j, {}).items()
         if j >= self.head_size:
             for d, v in self._diags.items():
                 i = j - d
@@ -291,24 +296,22 @@ class PresentedMatrix:
     # -- structure tests --------------------------------------------------
 
     def is_nonnegative(self) -> bool:
-        return all(v >= 0 for v in self._head.values()) and all(
+        return all(v >= 0 for row in self._rows.values() for v in row.values()) and all(
             v >= 0 for v in self._diags.values()
         )
 
     def is_zero(self) -> bool:
-        return not self._head and not self._diags
+        return not self._rows and not self._diags
 
     def is_symmetric(self) -> bool:
-        for (i, j), v in self._head.items():
-            if self.entry(j, i) != v:
-                return False
-        return all(self._tail_value(-d) == v for d, v in self._diags.items())
+        # the normalized form is canonical, so equality is entrywise
+        return self.transpose() == self
 
     def transpose(self) -> "PresentedMatrix":
         return PresentedMatrix(
             self.index,
             self.head_size,
-            {(j, i): v for (i, j), v in self._head.items()},
+            {(j, i): v for (i, j), v in self._items()},
             {-d: v for d, v in self._diags.items()},
         )
 
@@ -324,8 +327,8 @@ class PresentedMatrix:
         for d, v in other._diags.items():
             diags[d] = diags.get(d, 0) + v
         n = max(self.head_size, other.head_size)
-        head = dict(self._head)
-        for k, v in other._head.items():
+        head = dict(self._items())
+        for k, v in other._items():
             head[k] = head.get(k, 0) + v
         # a term's tail fills the edges min(i, j) = e from its own head size
         # up to the sum's, one entry per diagonal
@@ -342,7 +345,7 @@ class PresentedMatrix:
         return PresentedMatrix(
             self.index,
             self.head_size,
-            {k: c * v for k, v in self._head.items()},
+            {k: c * v for k, v in self._items()},
             {d: c * v for d, v in self._diags.items()},
         )
 
@@ -354,30 +357,28 @@ class PresentedMatrix:
                 diags[d1 + d2] = diags.get(d1 + d2, 0) + v1 * v2
         if self.index.kind == "int":
             return PresentedMatrix(self.index, diagonals=diags)
-        if self.index.kind == "finite":
-            # kept: skips the banded path's per-row scans, which dominate on sparse finite matrices
-            head: dict[tuple[int, int], int] = {}
-            for (i, k), av in self._head.items():
-                row_b = other._rows.get(k)
-                if row_b:
-                    for j, bv in row_b.items():
-                        head[(i, j)] = head.get((i, j), 0) + av * bv
-            return PresentedMatrix(self.index, head={k: v for k, v in head.items() if v})
         m = max(self.tail_start(), other.tail_start())
-        head = {}
-        rows_b = [list(other.row_entries(k)) for k in range(m + self.band)]
-        for i in range(m):
-            for k, a in self.row_entries(i):
-                for j, b in rows_b[k]:
-                    head[(i, j)] = head.get((i, j), 0) + a * b
+        # other's rows inside its head are read as stored; each row past it
+        # that a row of the product reaches is listed once
+        ohs, rows_b = other.head_size, other._rows
+        tail_b = {k: dict(other.row_entries(k)) for k in range(ohs, m + max(self.band, other.band))}
+        hs, diags_a = self.head_size, self._diags
+        tail_a = {i: {i + d: a for d, a in diags_a.items() if i + d >= hs}
+                  for i in range(hs, m)} if diags_a else {}
+        head: dict[tuple[int, int], int] = {}
+        for rows_a in (self._rows, tail_a):
+            for i, row_a in rows_a.items():
+                for k, a in row_a.items():
+                    for j, b in (rows_b.get(k, {}) if k < ohs else tail_b[k]).items():
+                        head[i, j] = head.get((i, j), 0) + a * b
         # rows i >= m of self are pure tail, so below the head block the
-        # product needs only self's diagonals against other's columns
-        for j in range(m):
-            for k, b in other.col_entries(j):
-                for d, a in self._diags.items():
-                    i = k - d
-                    if i >= m:
-                        head[(i, j)] = head.get((i, j), 0) + a * b
+        # product meets only other's rows m - self.band .. m + other.band - 1
+        for k in range(m - self.band, m + other.band) if diags_a else ():
+            for j, b in (rows_b.get(k, {}) if k < ohs else tail_b[k]).items():
+                if j < m:
+                    for d, a in diags_a.items():
+                        if k - d >= m:
+                            head[k - d, j] = head.get((k - d, j), 0) + a * b
         return PresentedMatrix(self.index, m, head, diags)
 
     def poly_eval(self, coeffs: Iterable[int]) -> "PresentedMatrix":
@@ -469,8 +470,7 @@ class PresentedMatrix:
         real_band = max((abs(d) for d in diags if diags[d] != 0), default=0)
         if _as_int(band) < real_band:
             raise PresentationError(f"declared band {band} smaller than diagonal offsets")
-        matrix = PresentedMatrix(index, _as_int(head_size), triples, diags)
-        return matrix
+        return PresentedMatrix(index, _as_int(head_size), triples, diags)
 
     # -- identity -----------------------------------------------------------
 
@@ -478,7 +478,7 @@ class PresentedMatrix:
         return (
             self.index,
             self.head_size,
-            tuple(sorted(self._head.items())),
+            tuple(sorted(self._items())),
             tuple(sorted(self._diags.items())),
         )
 
@@ -491,7 +491,7 @@ class PresentedMatrix:
     def __repr__(self) -> str:
         return (
             f"PresentedMatrix({self.index!r}, head_size={self.head_size}, "
-            f"head={sorted(self._head.items())}, diagonals={dict(sorted(self._diags.items()))})"
+            f"head={sorted(self._items())}, diagonals={dict(sorted(self._diags.items()))})"
         )
 
 
@@ -521,8 +521,10 @@ class PresentedVector:
             if head_t or tail_a:
                 raise PresentationError("Z-indexed vectors are a single constant")
         else:
-            while head_t and head_t[-1] == tail_a * (len(head_t) - 1) + tail_b:
-                head_t = head_t[:-1]
+            n = len(head_t)
+            while n and head_t[n - 1] == tail_a * (n - 1) + tail_b:
+                n -= 1
+            head_t = head_t[:n]
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "head", head_t)
         object.__setattr__(self, "tail_a", tail_a)
@@ -575,9 +577,7 @@ class PresentedVector:
         tail = data.get("tail", {"a": 0, "b": 0})
         if not isinstance(tail, dict):
             raise PresentationError("vector tail must be an object")
-        return PresentedVector(
-            index, [_as_int(x) for x in head], _as_int(tail.get("a", 0)), _as_int(tail.get("b", 0))
-        )
+        return PresentedVector(index, head, tail.get("a", 0), tail.get("b", 0))
 
     def _key(self):
         return (self.index, self.head, self.tail_a, self.tail_b)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -193,6 +194,34 @@ def test_derive_simples_basis(capsys, registry):
     assert doc["basis"] == "simples"
     got = PresentedMatrix.from_json_dict(doc["actions"][1]["matrix"])
     assert got == modcat.to_simples_basis(modcat.catalog("Cinf")).f1
+
+
+# sha256 of the stdout of `derive --model M --basis B --upto 24 --json`, recorded
+# when mul still kept a separate branch for finite matrices and walked every
+# head row of an N-indexed one
+DERIVE_DIGESTS = {
+    "Ainf": ("9fe8e4f6023501b3a9b931610432a24b9fd35ae8fd8ea4aeff709c4c6f31dd13",
+             "001f363b31c6a5bcdc7877028d9966785b67ff1586bc77d9550a8d0c45735504"),
+    "AinfInf": ("1f3efd7c700c7dd36d3b29ca4477daaac993cdb9967da04f82a558144c26f2f4",
+                "a5037cdf389227fe758ff940e1d1e7f9cba198f9c3f44a0e70285265335ef566"),
+    "BinfDual": ("e268dea63010abec0b4620d6038ac2e72767f937a67380f0e992ba67c33b9db0",
+                 "ddf0e22e0da95e3ce4d2c3eb0d718507efc81ef614a2f3aef448c682759c5478"),
+    "Cinf": ("4c426338ce3a80ea2b3ab47073df9f061ecb77613916724a450741369990d347",
+             "dfa316568f92fccb7288f2f6591afdbcc3aa5c6b05913652e60fccdc4d69cf4e"),
+    "Dinf": ("8f89e942b5538df3d0433515771d12b25e754c6d3a3d0c49ce38fd3a1b6588eb",
+             "a637aeca1dcbb9a5c5b392364f7f7343a54608687d260fe1a67f3fda26ddde1e"),
+    "Tinf": ("d9813438d738a49167a1b21e99cfde2b31f860d6bf517ba790069cc42541bf0a",
+             "89aa0fa52a33fd5feae0e0f06ecb02bc15fce2401f313e6a56a4a828ca5638ea"),
+}
+
+
+@pytest.mark.parametrize("name", modcat.catalog_names())
+def test_derive_json_to_24_matches_recorded_digests(capsys, name):
+    for basis, digest in zip(("projectives", "simples"), DERIVE_DIGESTS[name]):
+        code, out, err = run(capsys, "derive", "--model", name, "--basis", basis,
+                             "--upto", "24", "--json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, basis
 
 
 def test_derive_negative_window_exit_3(capsys):

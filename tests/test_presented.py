@@ -80,6 +80,13 @@ def test_rejects_entry_outside_head_region():
         PresentedMatrix(NAT, head_size=1, head={(2, 3): 5}, diagonals={})
 
 
+def test_mapping_head_rejects_non_integer_coordinates():
+    with pytest.raises(PresentationError):
+        PresentedMatrix(IndexSet.finite(2), head={(True, 0): 1})
+    with pytest.raises(PresentationError):
+        PresentedMatrix(NAT, 2, head={(0.5, 1): 1})
+
+
 def test_int_index_is_pure_toeplitz():
     m = PresentedMatrix(INT, diagonals={-1: 1, 1: 1})
     assert m.entry(-7, -8) == 1 and m.entry(3, 4) == 1 and m.entry(0, 2) == 0
@@ -180,6 +187,21 @@ def test_add_of_a_huge_shared_head_is_structural(time_limit):
     assert total == PresentedMatrix(NAT, 10**9, diagonals={1: 2})
 
 
+def test_mul_of_a_huge_shared_head_is_structural(time_limit):
+    a = PresentedMatrix(NAT, 10**9, diagonals={1: 1})
+    with time_limit(2.0):
+        square = a.mul(a)
+    assert square == PresentedMatrix(NAT, 10**9, diagonals={2: 1})
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_nat_matrices, small_nat_matrices)
+def test_head_extent_is_one_past_the_largest_stored_coordinate(a, b):
+    for m in (a, b, a.add(b), a.mul(b)):
+        largest = max((max(i, j) for i, j, _ in m.head_entries()), default=-1)
+        assert m.head_extent() == largest + 1
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_nat_matrices)
 def test_rows_and_columns_from_tail_start_hold_only_the_tail(m):
@@ -202,13 +224,20 @@ def test_int_mul_and_add_match_dense_oracle(a, b):
     )
 
 
-def dense_pair(n: int):
-    rows = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+def dense_pair(n: int, cell=st.integers(-3, 3)):
+    rows = st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n)
     return st.tuples(rows, rows)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 5).flatmap(dense_pair))
+# about four entries in five are zero
+sparse_cell = st.sampled_from((0,) * 24 + (-3, -2, -1, 1, 2, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.integers(0, 5).flatmap(dense_pair),
+    st.integers(0, 12).flatmap(lambda n: dense_pair(n, sparse_cell)),
+))
 def test_finite_mul_and_add_match_dense_oracle(pair):
     x, y = pair
     a, b = PresentedMatrix.from_dense(x), PresentedMatrix.from_dense(y)
@@ -284,6 +313,14 @@ def test_apply_certifies_affine_tail():
     cartan2 = PresentedMatrix.scaled_identity(NAT, 2).add(double.scale(-1))
     w = PresentedVector(NAT, (1,), 0, 2)
     assert cartan2.apply(w).is_zero()
+
+
+def test_vector_normalization_is_linear_in_the_head(time_limit):
+    with time_limit(1.0):
+        zero = PresentedVector(NAT, [0] * 40_000)
+    assert zero == PresentedVector(NAT)
+    odd = PresentedVector(NAT, [2 * i + 1 for i in range(40_000)], 2, 1)
+    assert odd.head == ()
 
 
 def test_vector_normalization_absorbs_affine_head():
