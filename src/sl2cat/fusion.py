@@ -10,13 +10,19 @@ to the ultraspherical polynomial R_i given by the recurrence
 
     R_0 = 1,  R_1 = x,  R_i = x * R_{i-1} - R_{i-2}.
 
+The same recurrence, L(1) (x) L(i-1) = L(i) (+) L(i-2), derives the action
+of L(i) on a module category from that of L(1): action(F_1, i) returns
+F_i = F_1 F_{i-1} - F_{i-2}, seeded with R_0(F_1) and R_1(F_1) by
+poly_eval.  Each F_1 keeps one chain [F_0, F_1, ...] in a bounded LRU, so
+the first k matrices cost k products, and asking again costs none.
+
 All coefficients are arbitrary precision integers and may be negative
 (virtual classes); no floating point is used anywhere.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import OrderedDict
 from typing import Iterable, Iterator, Mapping
 
 from .presented import PresentedMatrix
@@ -79,15 +85,6 @@ class FusionElement:
 
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    def is_effective(self) -> bool:
-        """True if every coefficient is non-negative (no virtual classes)."""
-        return all(value >= 0 for value in self._coeffs.values())
-
-    def max_index(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero element has no top index")
-        return max(self._coeffs)
 
     # -- ring structure ---------------------------------------------------
 
@@ -168,10 +165,26 @@ def r_poly(i: int) -> UltrasphericalPoly:
     return tuple(cur)
 
 
-@lru_cache(maxsize=512)
+#: F_1 -> [F_0, F_1, ...], least recently used first.  A chain holds every
+#: F_i asked for so far, so the bound is on chains: a session reads a few
+#: models, and each classify certificate one template.
+_CHAINS: OrderedDict[PresentedMatrix, list[PresentedMatrix]] = OrderedDict()
+_CHAIN_LIMIT = 32
+
+
 def action(f1: PresentedMatrix, i: int) -> PresentedMatrix:
     """F_i = R_i(F_1): tensoring with L(i); the one derivation, cached for every caller."""
-    return f1.poly_eval(r_poly(i))
+    if i < 0:
+        raise ValueError(f"index must be >= 0, got {i}")
+    chain = _CHAINS.pop(f1, None)
+    if chain is None:
+        chain = [f1.poly_eval(r_poly(0)), f1.poly_eval(r_poly(1))]
+    _CHAINS[f1] = chain
+    if len(_CHAINS) > _CHAIN_LIMIT:
+        _CHAINS.popitem(last=False)
+    while len(chain) <= i:
+        chain.append(f1.mul(chain[-1]).add(chain[-2].scale(-1)))
+    return chain[i]
 
 
 def poly_eval_int(p: Iterable[int], x: int) -> int:

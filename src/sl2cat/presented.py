@@ -153,16 +153,19 @@ class PresentedMatrix:
         elif head_size < 0:
             raise PresentationError("head_size must be >= 0")
 
-        # rows[i][j] = cols[j][i] = entry (i, j); each new row or column key is checked once
+        # rows[i][j] = cols[j][i] = entry (i, j); every coordinate of every entry is checked
         rows: dict[int, dict[int, int]] = {}
         cols: dict[int, dict[int, int]] = {}
         for (i, j), v in entries.items():
             if v == 0:
                 continue
+            if type(i) is not int or type(j) is not int:
+                _as_int(i)
+                _as_int(j)
             if i not in rows:
-                rows[_as_int(i)] = {}
+                rows[i] = {}
             if j not in cols:
-                cols[_as_int(j)] = {}
+                cols[j] = {}
             if finite:
                 if not (0 <= i < n and 0 <= j < n):
                     raise PresentationError(f"entry ({i},{j}) outside finite index 0..{n - 1}")
@@ -172,7 +175,7 @@ class PresentedMatrix:
                 raise PresentationError(
                     f"entry ({i},{j}) outside declared head region (head_size={head_size})"
                 )
-            rows[i][j] = cols[j][i] = _as_int(v)
+            rows[i][j] = cols[j][i] = v if type(v) is int else _as_int(v)
 
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "head_size", head_size)

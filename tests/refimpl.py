@@ -53,9 +53,17 @@ def brute_tensor(m: int, n: int) -> dict[int, int]:
 
 
 def mat_mul(a: list[list], b: list[list]) -> list[list]:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
+    k, m = len(b), len(b[0]) if b else 0
     assert all(len(row) == k for row in a)
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+    out = []
+    for row in a:
+        acc = [0] * m
+        for x, b_row in zip(row, b):
+            if x:  # row i of the product is the sum of a[i][t] times row t of b
+                for j, y in enumerate(b_row):
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_add(a: list[list], b: list[list]) -> list[list]:

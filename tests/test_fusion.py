@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from sl2cat import fusion
 from sl2cat.fusion import FusionElement, simple
+from sl2cat.presented import IndexSet, PresentedMatrix
 
 import refimpl
 
@@ -110,3 +111,12 @@ def test_rejects_negative_index():
         simple(-1)
     with pytest.raises(ValueError):
         fusion.r_poly(-2)
+    with pytest.raises(ValueError):
+        fusion.action(PresentedMatrix.identity(IndexSet.nat()), -1)
+
+
+def test_action_reaches_a_deep_index_without_recursion():
+    # the swap has eigenvalues +1 and -1, where R_i takes the values of period 6 in i
+    swap = PresentedMatrix.from_dense([[0, 1], [1, 0]])
+    assert fusion.action(swap, 6000) == fusion.action(swap, 0)
+    assert fusion.action(swap, 6001) == swap

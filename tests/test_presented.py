@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2cat import fusion
 from sl2cat.fusion import r_poly
 from sl2cat.modcat import catalog, catalog_names
 from sl2cat.presented import (
@@ -85,6 +86,16 @@ def test_mapping_head_rejects_non_integer_coordinates():
         PresentedMatrix(IndexSet.finite(2), head={(True, 0): 1})
     with pytest.raises(PresentationError):
         PresentedMatrix(NAT, 2, head={(0.5, 1): 1})
+
+
+def test_mapping_head_checks_every_coordinate_of_every_entry():
+    # row 1 and column 0 are first seen with int keys; the second entry reuses them
+    with pytest.raises(PresentationError):
+        PresentedMatrix(IndexSet.finite(2), head={(1, 0): 1, (1.0, 1): 1})
+    with pytest.raises(PresentationError):
+        PresentedMatrix(IndexSet.finite(2), head={(1, 0): 1, (True, 1): 1})
+    with pytest.raises(PresentationError):
+        PresentedMatrix(NAT, 2, head={(0, 1): 1, (1, 1.0): 1})
 
 
 def test_int_index_is_pure_toeplitz():
@@ -245,20 +256,37 @@ def test_finite_mul_and_add_match_dense_oracle(pair):
     assert a.add(b).truncate(len(x)) == refimpl.mat_add(x, y)
 
 
+def assert_r_poly_of(fk: PresentedMatrix, f1: PresentedMatrix, k: int) -> None:
+    """fk is R_k(f1) on a dense window, by the dense Horner oracle."""
+    if f1.index.kind == "finite":
+        n = f1.index.size
+        assert fk.truncate(n) == refimpl.mat_poly(r_poly(k), f1.truncate(n)), k
+    elif f1.index.kind == "int":
+        window, pad = 8, k * f1.band
+        dense = refimpl.mat_poly(r_poly(k), dense_window(f1, window + 2 * pad, -4 - pad))
+        assert dense_window(fk, window, -4) == crop(dense, pad, window), k
+    else:
+        window = past_the_tail(fk)
+        big = window + k * f1.band + f1.head_extent()
+        dense = refimpl.mat_poly(r_poly(k), dense_window(f1, big))
+        assert dense_window(fk, window) == crop(dense, 0, window), k
+
+
 @pytest.mark.parametrize("name", catalog_names())
 def test_poly_eval_of_r_poly_matches_dense_oracle(name):
     f1 = catalog(name).f1
     for k in range(9):
-        fk = f1.poly_eval(r_poly(k))
-        if f1.index.kind == "int":
-            window, pad = 8, k * f1.band
-            dense = refimpl.mat_poly(r_poly(k), dense_window(f1, window + 2 * pad, -4 - pad))
-            assert dense_window(fk, window, -4) == crop(dense, pad, window), (name, k)
-        else:
-            window = past_the_tail(fk)
-            big = window + k * f1.band + f1.head_extent()
-            dense = refimpl.mat_poly(r_poly(k), dense_window(f1, big))
-            assert dense_window(fk, window) == crop(dense, 0, window), (name, k)
+        assert_r_poly_of(f1.poly_eval(r_poly(k)), f1, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_nat_matrices, small_int_matrices, small_finite_matrices),
+       st.lists(st.integers(0, 8), min_size=1, max_size=3))
+def test_action_recurrence_matches_dense_oracle(f1, ks):
+    # 8 first on a cold chain, then 3 read back from it, then drawn k in drawn order
+    fusion._CHAINS.pop(f1, None)
+    for k in [8, 3, *ks]:
+        assert_r_poly_of(fusion.action(f1, k), f1, k)
 
 
 @settings(max_examples=100, deadline=None)
