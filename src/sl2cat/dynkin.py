@@ -65,11 +65,6 @@ class DynkinType:
             return f"{base}_{self.rank}"
         return base
 
-    def key(self) -> str:
-        if self._ranked():
-            return f"{self.family}{self.rank}"
-        return self.family
-
     def _ranked(self) -> bool:
         bounds = CLASSICAL_RANKS.get(self.family) or AFFINE_RANKS.get(self.family)
         return self.rank is not None and bounds is not None and bounds[1] is None

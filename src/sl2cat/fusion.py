@@ -1,11 +1,17 @@
 """Exact arithmetic in the split Grothendieck ring of finite dimensional sl2 modules.
 
-L(m) denotes the simple module of highest weight m >= 0 (dimension m + 1).
-Tensor products decompose by the Clebsch-Gordan rule
+L(m) denotes the simple module of highest weight m >= 0 (dimension m + 1),
+with the weights m, m - 2, ..., -m (weights(m)).  Tensor products decompose
+by the Clebsch-Gordan rule
 
     L(m) (x) L(n)  =  L(|m - n|) (+) L(|m - n| + 2) (+) ... (+) L(m + n),
 
-so the ring is isomorphic to Z[x] under [L(1)] -> x.  The class [L(i)] maps
+whose summands cg_support(m, n) lists.  These two functions are the only
+place the rule is written out: tensor here, the end-dim rule of
+obstruction and the category O, Borel and restriction oracles of oracles
+all read them.
+
+The ring is isomorphic to Z[x] under [L(1)] -> x.  The class [L(i)] maps
 to the ultraspherical polynomial R_i given by the recurrence
 
     R_0 = 1,  R_1 = x,  R_i = x * R_{i-1} - R_{i-2}.
@@ -32,6 +38,8 @@ __all__ = [
     "UltrasphericalPoly",
     "FusionElement",
     "simple",
+    "weights",
+    "cg_support",
     "r_poly",
     "action",
     "poly_eval_int",
@@ -62,71 +70,24 @@ class FusionElement:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         clean: dict[int, int] = {}
         for index, value in items:
+            if type(index) is not int or type(value) is not int:
+                raise TypeError(f"indices and coefficients must be int, got {index!r}: {value!r}")
             if index < 0:
                 raise ValueError(f"simple index must be >= 0, got {index}")
-            if not isinstance(index, int) or not isinstance(value, int):
-                raise TypeError("indices and coefficients must be int")
             if value != 0:
                 clean[index] = clean.get(index, 0) + value
                 if clean[index] == 0:
                     del clean[index]
         self._coeffs = clean
 
-    # -- access ---------------------------------------------------------
-
-    def coeff(self, index: int) -> int:
-        return self._coeffs.get(index, 0)
-
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._coeffs.items()))
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._coeffs))
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    # -- ring structure ---------------------------------------------------
-
-    def __add__(self, other: "FusionElement") -> "FusionElement":
-        merged = dict(self._coeffs)
-        for index, value in other._coeffs.items():
-            merged[index] = merged.get(index, 0) + value
-        return FusionElement(merged)
-
-    def __sub__(self, other: "FusionElement") -> "FusionElement":
-        merged = dict(self._coeffs)
-        for index, value in other._coeffs.items():
-            merged[index] = merged.get(index, 0) - value
-        return FusionElement(merged)
-
-    def __neg__(self) -> "FusionElement":
-        return FusionElement({i: -v for i, v in self._coeffs.items()})
-
-    def scale(self, factor: int) -> "FusionElement":
-        return FusionElement({i: factor * v for i, v in self._coeffs.items()})
-
-    def __mul__(self, other: "FusionElement") -> "FusionElement":
-        return tensor(self, other)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FusionElement) and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self._coeffs.items())))
-
-    # -- text form --------------------------------------------------------
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for index, value in sorted(self._coeffs.items()):
-            if value == 1:
-                parts.append(f"L({index})")
-            else:
-                parts.append(f"{value}*L({index})")
-        return " + ".join(parts)
 
     def __repr__(self) -> str:
         return f"FusionElement({dict(sorted(self._coeffs.items()))!r})"
@@ -139,13 +100,30 @@ def simple(m: int) -> FusionElement:
     return FusionElement({m: 1})
 
 
+def weights(n: int) -> range:
+    """The weights n, n - 2, ..., -n of L(n), each of multiplicity one."""
+    if n < 0:
+        raise ValueError(f"highest weight must be >= 0, got {n}")
+    return range(n, -n - 1, -2)
+
+
+def cg_support(m: int, n: int) -> range:
+    """Highest weights |m - n|, |m - n| + 2, ..., m + n of the summands of L(m) (x) L(n).
+
+    Each summand occurs once.
+    """
+    if m < 0 or n < 0:
+        raise ValueError(f"highest weights must be >= 0, got {m} and {n}")
+    return range(abs(m - n), m + n + 1, 2)
+
+
 def tensor(a: FusionElement, b: FusionElement) -> FusionElement:
     """Product in the fusion ring, extended bilinearly over Clebsch-Gordan."""
     out: dict[int, int] = {}
     for m, cm in a._coeffs.items():
         for n, cn in b._coeffs.items():
             coeff = cm * cn
-            for weight in range(abs(m - n), m + n + 1, 2):
+            for weight in cg_support(m, n):
                 out[weight] = out.get(weight, 0) + coeff
     return FusionElement(out)
 

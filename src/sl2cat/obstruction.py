@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fusion import action
+from .fusion import action, cg_support
 from .presented import PresentedMatrix
 
 __all__ = ["ObstructionReport", "PreconditionFailed", "solve_feasibility"]
@@ -192,10 +192,6 @@ def _propagate(state: _State, rules: list, watch: dict, seed) -> None:
             idx = current.find(1)
 
 
-def _cg_support(a: int, b: int) -> range:
-    return range(abs(a - b), a + b + 1, 2)
-
-
 def _object_window(f1: PresentedMatrix, depth: int) -> list[int]:
     if f1.index.kind == "int":
         return list(range(-depth, depth + 1))
@@ -298,7 +294,7 @@ def _build_rules(comps: dict, depth: int, schur_dim: int, state: _State) -> list
             comp = comps[(a, j)]
             if sum(comp.values()) != 1:
                 continue
-            support = list(_cg_support(a, a))
+            support = cg_support(a, a)
             for side, word in (("s", "socle"), ("t", "top")):
                 keys = [(side, c, j, j) for c in support if j in comps[(c, j)]]
                 terms = " + ".join(f"[{word} F_{c} S_{j} : S_{j}]" for c in support)

@@ -15,6 +15,9 @@ against a second route:
 * restriction-character systems, each defined once by its action matrix
   F_1 and the characters of its objects; the consistency solver (with
   periodic-affine symbolic tails) and the action matrix both read it.
+
+The weights of L(n) and the Clebsch-Gordan rule are read from
+:mod:`sl2cat.fusion`, which states them once.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Callable, Iterable, Mapping, NamedTuple
 
+from .fusion import cg_support, weights
 from .kernels import Echelon
 from .presented import IndexSet, PresentedMatrix
 
@@ -102,15 +106,14 @@ def tensor_in_O(n: int, v: OClassVector) -> OClassVector:
     """Tensor by the (n+1)-dimensional simple on the Verma basis.
 
     The class of the product against a Verma with highest weight w is the
-    sum of the Vermas with highest weights w+n, w+n-2, ..., w-n.
+    sum of the Vermas with highest weights w + mu, mu in weights(n).
     """
     if n < 0:
         raise ValueError("need n >= 0")
     out: dict[int, int] = {}
     for w, c in v.items():
-        for k in range(n + 1):
-            shifted = w + n - 2 * k
-            out[shifted] = out.get(shifted, 0) + c
+        for mu in weights(n):
+            out[w + mu] = out.get(w + mu, 0) + c
     return OClassVector(out, v.coset)
 
 
@@ -206,7 +209,7 @@ def borel_tensor_N(mu_offset: int) -> tuple[int, int]:
     lo, hi = mu - 1, mu - 1 + 2 * 20
     product: dict[int, int] = {}
     for w in _chain_character(mu, lo - 1, hi + 1):
-        for s in (-1, 1):
+        for s in weights(1):
             if lo <= w + s <= hi:
                 product[w + s] = product.get(w + s, 0) + 1
     found: dict[int, int] = {}
@@ -222,14 +225,6 @@ def borel_tensor_N(mu_offset: int) -> tuple[int, int]:
     if found != {mu - 1: 1, mu + 1: 1}:
         raise RuntimeError(f"chain tensor self-check failed at offset {mu}: {found}")
     return (mu + 1, mu - 1)
-
-
-def q_composition_multiplicity(k: int, offset: int) -> int:
-    """Multiplicity of the simple at relative weight ``offset`` in the
-    length k+1 uniserial quotient module."""
-    if k < 0:
-        raise ValueError("need k >= 0")
-    return 1 if abs(offset) <= k and (offset - k) % 2 == 0 else 0
 
 
 def q_module_profile(k: int) -> dict:
@@ -251,7 +246,7 @@ def borel_tensor_Q(i: int) -> tuple[int, ...]:
     result = (1,) if i == 0 else (i - 1, i + 1)
     lhs: dict[int, int] = {}
     for off in q_module_profile(i)["factors"]:
-        for s in (-1, 1):
+        for s in weights(1):
             lhs[off + s] = lhs.get(off + s, 0) + 1
     rhs: dict[int, int] = {}
     for part in result:
@@ -260,25 +255,6 @@ def borel_tensor_Q(i: int) -> tuple[int, ...]:
     if lhs != rhs:
         raise RuntimeError(f"quotient tensor self-check failed at index {i}")
     return result
-
-
-def q_hom_dimension(i: int, j: int) -> int:
-    """Hom multiplicity bookkeeping between the uniserial quotients.
-
-    Scalar endomorphisms on the diagonal (the top has multiplicity one);
-    off the diagonal one of the two vanishing arguments applies: either
-    the top of the source does not occur in the target, or nothing in the
-    source can cover the socle of the target.
-    """
-    if i == j:
-        return 1
-    if i > j:
-        if q_composition_multiplicity(j, -i) != 0:
-            raise RuntimeError("top-of-source vanishing argument failed")
-        return 0
-    if q_composition_multiplicity(i, j) != 0:
-        raise RuntimeError("socle-of-target vanishing argument failed")
-    return 0
 
 
 # -- realization derivations -----------------------------------------------------
@@ -337,10 +313,6 @@ _REALIZATIONS: dict[str, tuple[str, Callable[[int], dict[int, int]]]] = {
 }
 
 _FIT_WINDOW = 10
-
-
-def realization_names() -> tuple[str, ...]:
-    return tuple(_REALIZATIONS)
 
 
 def _fit_nat(columns: dict[int, dict[int, int]]) -> PresentedMatrix:
@@ -477,11 +449,13 @@ class SlCharacter:
     def tensor_L1(self) -> "SlCharacter":
         """Symbolic product with the two dimensional simple.
 
-        Output multiplicity at k is value(k-1) + value(k+1) for k >= 1 and
-        value(1) at k = 0.
+        Output multiplicity at k is the sum of value(i) over i in
+        cg_support(k, 1), since L(k) is a summand of L(i) (x) L(1) exactly
+        for those i: value(k-1) + value(k+1) for k >= 1 and value(1) at
+        k = 0.  The tails follow the k >= 1 case.
         """
         h, p = len(self.head), self.period
-        head = [self.value(1)] + [self.value(k - 1) + self.value(k + 1) for k in range(1, h + 1)]
+        head = [sum(self.value(i) for i in cg_support(k, 1)) for k in range(h + 1)]
         tails = []
         for r in range(p):
             a1, b1 = self.tails[r]
@@ -642,8 +616,8 @@ def _relation_rows(system: _System, count: int, unknown: int, size: int,
         targets = list(system.f1.col_entries(j))
         known = {i: system.character(i) for i in [j] + [i for i, _ in targets] if i >= unknown}
         for k in range(size):
-            # tensoring with the two dimensional simple reads indices k-1 and k+1
-            terms = [(j, src, 1) for src in ([1] if k == 0 else [k - 1, k + 1])]
+            # L(k) occurs in L(i) (x) L(1) exactly when i is in cg_support(k, 1)
+            terms = [(j, src, 1) for src in cg_support(k, 1)]
             terms += [(i, k, -v) for i, v in targets]
             if any(i < unknown and idx >= size for i, idx, _ in terms):
                 continue

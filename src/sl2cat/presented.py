@@ -29,6 +29,7 @@ on that canonical form.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -52,7 +53,7 @@ class IndexSet:
         if kind not in ("finite", "nat", "int"):
             raise PresentationError(f"unknown index kind {kind!r}")
         if kind == "finite":
-            if size is None or size < 0:
+            if size is None or _as_int(size) < 0:
                 raise PresentationError("finite index needs a size >= 0")
         elif size is not None:
             raise PresentationError(f"{kind} index takes no size")
@@ -107,9 +108,13 @@ class IndexSet:
             return IndexSet.nat()
         if data == "int":
             return IndexSet.int_()
-        if isinstance(data, dict) and set(data) == {"finite"} and isinstance(data["finite"], int):
+        if isinstance(data, dict) and set(data) == {"finite"}:
             return IndexSet.finite(data["finite"])
         raise PresentationError(f"bad index description {data!r}")
+
+
+#: A diagonal offset as a JSON key, the pattern matrix.schema.json gives.
+_OFFSET_RE = re.compile(r"-?[0-9]+")
 
 
 def _as_int(value) -> int:
@@ -464,10 +469,13 @@ class PresentedMatrix:
         diags_raw = tail.get("diagonals", {})
         if not isinstance(diags_raw, dict):
             raise PresentationError("tail.diagonals must be an object")
-        try:
-            diags = {int(k): _as_int(v) for k, v in diags_raw.items()}
-        except ValueError as exc:
-            raise PresentationError(f"bad diagonal offset: {exc}") from None
+        diags = {}
+        for k, v in diags_raw.items():
+            if not (isinstance(k, str) and _OFFSET_RE.fullmatch(k)):
+                raise PresentationError(f"bad diagonal offset {k!r}")
+            if int(k) in diags:
+                raise PresentationError(f"duplicate diagonal offset {int(k)}")
+            diags[int(k)] = _as_int(v)
         band = tail.get("band", 0)
         head_size = head.get("size", 0)
         real_band = max((abs(d) for d in diags if diags[d] != 0), default=0)

@@ -231,6 +231,14 @@ def test_derive_negative_window_exit_3(capsys):
     assert err == "error: --window must be >= 0\n"
 
 
+def test_model_file_with_a_bool_finite_size_exit_3(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"index": {"finite": True}}))
+    code, out, err = run(capsys, "derive", "--model", str(path), "--upto", "1", "--json")
+    assert (code, out) == (3, "")
+    assert err == f"error: {path}: expected an integer, got True\n"
+
+
 def test_transitive_catalog_models(capsys, registry):
     for name in modcat.catalog_names():
         code, doc = run_json(capsys, "transitive", "--model", name, "--json")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,9 +57,13 @@ def test_clebsch_gordan_small_cases():
 
 def test_tensor_matches_weight_multiset_oracle():
     for m in range(0, 26):
+        assert Counter(fusion.weights(m)) == refimpl.weight_multiset(m), m
         for n in range(0, 26):
+            expected = refimpl.brute_tensor(m, n)
             got = fusion.tensor(simple(m), simple(n))
-            assert dict(got.items()) == refimpl.brute_tensor(m, n), (m, n)
+            assert dict(got.items()) == expected, (m, n)
+            assert list(fusion.cg_support(m, n)) == sorted(expected), (m, n)
+            assert set(expected.values()) == {1}, (m, n)
 
 
 def test_poly_to_fusion_example():
@@ -109,6 +115,18 @@ def test_poly_round_trip(a):
 def test_rejects_negative_index():
     with pytest.raises(ValueError):
         simple(-1)
+    with pytest.raises(ValueError):
+        FusionElement({-1: 1})
+    with pytest.raises(TypeError):
+        FusionElement({"x": 1})
+    with pytest.raises(TypeError):
+        FusionElement({True: 1})
+    with pytest.raises(TypeError):
+        FusionElement({1: True})
+    with pytest.raises(ValueError):
+        fusion.weights(-1)
+    with pytest.raises(ValueError):
+        fusion.cg_support(2, -1)
     with pytest.raises(ValueError):
         fusion.r_poly(-2)
     with pytest.raises(ValueError):

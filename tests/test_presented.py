@@ -406,6 +406,12 @@ def test_json_validation_errors():
         PresentedMatrix.from_json_dict(
             {"index": "nat", "tail": {"band": 0, "diagonals": {"2": 1}}}
         )
+    for diagonals in ({"1": 1, "01": 7}, {"0": 1, "-0": 2}, {"+1": 1}, {" 1": 1},
+                      {"1_0": 1}, {"1\n": 1}):
+        with pytest.raises(PresentationError):
+            PresentedMatrix.from_json_dict(
+                {"index": "nat", "tail": {"band": 1, "diagonals": diagonals}}
+            )
 
 
 def test_vector_json_round_trip():
