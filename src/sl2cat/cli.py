@@ -324,10 +324,14 @@ def _parse_tensor(text: str) -> tuple[int, NamedOObject]:
             f"cannot parse tensor expression {text!r}; "
             'expected "L(n) x OBJ" with OBJ one of L(w), P(w), Delta(w)')
     try:
-        obj = NamedOObject.parse(match.group(2))
+        n = int(match.group(1))
+    except ValueError as exc:  # more digits than the interpreter converts
+        bound = oracles.MAX_TENSOR_WEIGHT
+        raise CliError(f"the tensoring simple L(n) needs n <= {bound}") from exc
+    try:
+        return n, NamedOObject.parse(match.group(2))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    return int(match.group(1)), obj
 
 
 def _cmd_decompose(args) -> int:
@@ -370,20 +374,16 @@ def _coset_name(offset: int) -> str:
 def _cmd_o_tensor(args) -> int:
     if args.n < 0:
         raise CliError("--n must be >= 0")
-    if args.coset_offset is not None:
-        vec = oracles.tensor_in_O(args.n, oracles.verma(args.coset_offset, coset=True))
-        shown_input = _coset_name(args.coset_offset)
-        name = _coset_name
-    else:
-        try:
+    try:
+        if args.coset_offset is not None:
+            start = oracles.verma(args.coset_offset, coset=True)
+            shown_input, name = _coset_name(args.coset_offset), _coset_name
+        else:
             obj = NamedOObject.parse(args.object)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        vec = oracles.tensor_in_O(args.n, oracles.class_of(obj))
-        shown_input = obj.display()
-
-        def name(w: int) -> str:
-            return f"Delta({w})"
+            start, shown_input, name = oracles.class_of(obj), obj.display(), "Delta({})".format
+        vec = oracles.tensor_in_O(args.n, start)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
     ordered = sorted(vec.items(), key=lambda kv: -kv[0])
     if args.json:

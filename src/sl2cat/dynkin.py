@@ -409,7 +409,7 @@ def find_positive_null_vector(gcm: PresentedMatrix) -> PresentedVector | None:
     elif index.kind == "int":
         if sum(gcm.diagonals().values()) != 0:
             return None
-        vec = PresentedVector(index, (), 0, 1)
+        vec = PresentedVector(index, (), [(0, 1)])
     else:
         head_len = gcm.head_size + gcm.band
         unknowns = head_len + 2  # v_0..v_{H-1}, a, b
@@ -433,9 +433,9 @@ def find_positive_null_vector(gcm: PresentedMatrix) -> PresentedVector | None:
             return None
         ints = _primitive_integer(basis[0])
         head, a, b = ints[:head_len], ints[-2], ints[-1]
-        vec = PresentedVector(index, head, a, b)
+        vec = PresentedVector(index, head, [(a, b)])
         if not vec.is_strictly_positive():
-            vec = PresentedVector(index, [-x for x in head], -a, -b)
+            vec = PresentedVector(index, [-x for x in head], [(-a, -b)])
     if not vec.is_strictly_positive():
         return None
     if not gcm.apply(vec).is_zero():

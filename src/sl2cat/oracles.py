@@ -13,8 +13,11 @@ against a second route:
 * a Jordan block oracle for a Jordan cell tensored with the two
   dimensional simple, via exact rank sequences;
 * restriction-character systems, each defined once by its action matrix
-  F_1 and the characters of its objects; the consistency solver (with
-  periodic-affine symbolic tails) and the action matrix both read it.
+  F_1 and the characters of its objects; the consistency solver and the
+  action matrix both read it.  A character is a non-negative presented
+  vector on N with a periodic-affine tail, and its product with L(1) is
+  the A_inf adjacency matrix applied to it, so every relation is checked
+  symbolically by PresentedMatrix.apply and PresentedVector.add.
 
 The weights of L(n) and the Clebsch-Gordan rule are read from
 :mod:`sl2cat.fusion`, which states them once.
@@ -26,13 +29,14 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .fusion import cg_support, weights
 from .kernels import Echelon
-from .presented import IndexSet, PresentedMatrix
+from .presented import IndexSet, PresentedMatrix, PresentedVector
+
+_NAT = IndexSet.nat()
 
 
 class NotInCatalog(ValueError):
@@ -102,14 +106,22 @@ def verma(weight: int, coset: bool = False) -> OClassVector:
     return OClassVector({weight: 1}, coset)
 
 
+#: largest highest weight n of the tensoring simple L(n); the product has
+#: n + 1 Verma classes per input class, so n bounds its size
+MAX_TENSOR_WEIGHT = 10_000
+
+
 def tensor_in_O(n: int, v: OClassVector) -> OClassVector:
     """Tensor by the (n+1)-dimensional simple on the Verma basis.
 
     The class of the product against a Verma with highest weight w is the
     sum of the Vermas with highest weights w + mu, mu in weights(n).
+    Needs 0 <= n <= MAX_TENSOR_WEIGHT (ValueError otherwise).
     """
     if n < 0:
         raise ValueError("need n >= 0")
+    if n > MAX_TENSOR_WEIGHT:
+        raise ValueError(f"the tensoring simple L(n) needs n <= {MAX_TENSOR_WEIGHT}, got {n}")
     out: dict[int, int] = {}
     for w, c in v.items():
         for mu in weights(n):
@@ -326,7 +338,7 @@ def _fit_nat(columns: dict[int, dict[int, int]]) -> PresentedMatrix:
         for i, v in col.items()
         if min(i, j) < window
     }
-    matrix = PresentedMatrix(IndexSet.nat(), window, head, diags)
+    matrix = PresentedMatrix(_NAT, window, head, diags)
     if any(dict(matrix.col_entries(j)) != columns[j] for j in columns):
         raise RuntimeError("no finitely presented matrix fits the derived columns")
     return matrix
@@ -358,16 +370,18 @@ def derive_catalog_matrix(realization: str) -> PresentedMatrix:
 # -- restriction characters --------------------------------------------------------
 
 
-class SlCharacter:
-    """Multiplicity function on simple indices with a periodic-affine tail.
+class SlCharacter(PresentedVector):
+    """A restriction character: a non-negative presented vector on N.
 
-    Values: ``head[k]`` for k < len(head); past the head, position
-    t = k - len(head) in residue class r mod ``period`` at block q = t //
-    period takes the value a_r * q + b_r.  All multiplicities must stay
-    non-negative, which for the tail means a_r >= 0 and b_r >= 0.
+    Entry k is the multiplicity of the simple L(k).  The constructor takes
+    the tail counted from the end of the head: position t = k - len(head)
+    in residue class r mod ``period`` at block q = t // period takes the
+    value a_r * q + b_r, and a_r, b_r >= 0.  The head is kept as given, so
+    ``to_json`` prints it back; equality and hashing read the vector's
+    normal form.
     """
 
-    __slots__ = ("head", "period", "tails")
+    __slots__ = ()
 
     def __init__(self, head: Iterable[int], period: int, tails: Iterable[tuple[int, int]]):
         head_t = tuple(int(x) for x in head)
@@ -378,14 +392,17 @@ class SlCharacter:
             raise ValueError("multiplicities must be non-negative")
         if any(a < 0 or b < 0 for a, b in tails_t):
             raise ValueError("tail multiplicities must be non-negative")
+        # head-relative residue r covers k = h + r + period * q, which sits
+        # in absolute residue (h + r) % period at block (h + r) // period + q
+        absolute = [(0, 0)] * period
+        for r, (a, b) in enumerate(tails_t, start=len(head_t)):
+            absolute[r % period] = (a, b - a * (r // period))
+        object.__setattr__(self, "index", _NAT)
         object.__setattr__(self, "head", head_t)
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "tails", tails_t)
-
-    def __setattr__(self, *_):
-        raise AttributeError("SlCharacter is immutable")
+        object.__setattr__(self, "tails", tuple(absolute))
 
     @classmethod
+    @lru_cache(maxsize=1024)  # every check re-reads the chain characters
     def tower(cls, start: int, step: int) -> "SlCharacter":
         """Indicator of the ladder start, start+step, start+2*step, ..."""
         if start < 0 or step < 1:
@@ -401,78 +418,14 @@ class SlCharacter:
         tails = [(0, 1) if r == residue else (0, 0) for r in range(modulus)]
         return cls((), modulus, tails)
 
-    def value(self, k: int) -> int:
-        if k < 0:
-            raise IndexError("simple indices start at 0")
-        if k < len(self.head):
-            return self.head[k]
-        t = k - len(self.head)
-        a, b = self.tails[t % self.period]
-        return a * (t // self.period) + b
-
-    def truncate(self, n: int) -> list[int]:
-        return [self.value(k) for k in range(n)]
-
-    def _expand(self, head_len: int, period: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-        if head_len < len(self.head) or period % self.period != 0:
-            raise ValueError("expansion must keep the head and refine the period")
-        head = tuple(self.value(k) for k in range(head_len))
-        tails = []
-        for r in range(period):
-            t0 = head_len - len(self.head) + r
-            a, b = self.tails[t0 % self.period]
-            tails.append((a * (period // self.period), a * (t0 // self.period) + b))
-        return head, tuple(tails)
-
-    def _common(self, other: "SlCharacter"):
-        head_len = max(len(self.head), len(other.head))
-        period = lcm(self.period, other.period)
-        return self._expand(head_len, period), other._expand(head_len, period)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SlCharacter):
-            return NotImplemented
-        mine, theirs = self._common(other)
-        return mine == theirs
-
-    def __hash__(self) -> int:
-        # equal characters agree at every index, whatever head and period
-        # store them, so hash a fixed window of values
-        return hash(tuple(self.truncate(16)))
-
-    def add(self, other: "SlCharacter") -> "SlCharacter":
-        (h1, t1), (h2, t2) = self._common(other)
-        head = tuple(x + y for x, y in zip(h1, h2))
-        tails = tuple((a1 + a2, b1 + b2) for (a1, b1), (a2, b2) in zip(t1, t2))
-        return SlCharacter(head, len(tails), tails)
-
-    def tensor_L1(self) -> "SlCharacter":
-        """Symbolic product with the two dimensional simple.
-
-        Output multiplicity at k is the sum of value(i) over i in
-        cg_support(k, 1), since L(k) is a summand of L(i) (x) L(1) exactly
-        for those i: value(k-1) + value(k+1) for k >= 1 and value(1) at
-        k = 0.  The tails follow the k >= 1 case.
-        """
-        h, p = len(self.head), self.period
-        head = [sum(self.value(i) for i in cg_support(k, 1)) for k in range(h + 1)]
-        tails = []
-        for r in range(p):
-            a1, b1 = self.tails[r]
-            r2, shift = (r + 2) % p, (r + 2) // p
-            a2, b2 = self.tails[r2]
-            tails.append((a1 + a2, b1 + b2 + a2 * shift))
-        return SlCharacter(head, p, tails)
-
     def to_json(self) -> dict:
+        h, p = len(self.head), self.period
         return {
             "head": list(self.head),
-            "period": self.period,
-            "tail": [{"slope": a, "base": b} for a, b in self.tails],
+            "period": p,
+            "tail": [{"slope": self.tails[k % p][0], "base": self.entry(k)}
+                     for k in range(h, h + p)],
         }
-
-    def __repr__(self) -> str:
-        return f"SlCharacter({list(self.head)}, {self.period}, {list(self.tails)})"
 
 
 @dataclass(frozen=True)
@@ -498,24 +451,14 @@ class RestrictionReport:
 def _fit_periodic(values: list[int], period: int) -> SlCharacter:
     """Smallest head whose complement is exactly periodic-affine."""
     for head_len in range(len(values) - 2 * period + 1):
-        tails = []
-        for r in range(period):
-            base = values[head_len + r]
-            slope = values[head_len + period + r] - base
-            tails.append((slope, base))
-        try:
-            candidate = SlCharacter(values[:head_len], period, tails)
-        except ValueError:
+        tails = [(values[head_len + period + r] - values[head_len + r], values[head_len + r])
+                 for r in range(period)]
+        if any(slope < 0 or base < 0 for slope, base in tails):
             continue
+        candidate = SlCharacter(values[:head_len], period, tails)
         if candidate.truncate(len(values)) == values:
             return candidate
     raise RuntimeError("truncated solution has no periodic-affine tail")
-
-
-@lru_cache(maxsize=1024)
-def _ladder(n: int, step: int) -> SlCharacter:
-    # every check re-reads the chain characters; they are immutable
-    return SlCharacter.tower(n, step)
 
 
 class _System(NamedTuple):
@@ -540,22 +483,25 @@ class _System(NamedTuple):
         if i < len(self.branches):
             return self.branches[i]
         n = i - self.object_of_chain(0)
-        return f"chain_{n}", _ladder(n, self.step)
+        return f"chain_{n}", SlCharacter.tower(n, self.step)
 
     def character(self, i: int) -> SlCharacter:
         return self.object(i)[1]
 
 
 _TRIDIAGONAL = {-1: 1, 1: 1}
+#: tensoring with L(1) on the simples L(0), L(1), ...: L(k) is a summand of
+#: L(i) (x) L(1) exactly for i in cg_support(k, 1), which is {1} at k = 0
+_A_INF = PresentedMatrix(_NAT, diagonals=_TRIDIAGONAL)
 
 _SYSTEMS = {
     "takiff": _System(
-        PresentedMatrix(IndexSet.nat(), 1, {(0, 1): 1, (1, 0): 2}, _TRIDIAGONAL), step=2),
+        PresentedMatrix(_NAT, 1, {(0, 1): 1, (1, 0): 2}, _TRIDIAGONAL), step=2),
     "schrodinger": _System(
-        PresentedMatrix(IndexSet.nat(), 1, {(0, 0): 1, (0, 1): 1, (1, 0): 1}, _TRIDIAGONAL),
+        PresentedMatrix(_NAT, 1, {(0, 0): 1, (0, 1): 1, (1, 0): 1}, _TRIDIAGONAL),
         step=1),
     "dinf": _System(
-        PresentedMatrix(IndexSet.nat(), 3, {(0, 2): 1, (1, 2): 1, (2, 0): 1, (2, 1): 1,
+        PresentedMatrix(_NAT, 3, {(0, 2): 1, (1, 2): 1, (2, 0): 1, (2, 1): 1,
                                             (2, 3): 1, (3, 2): 1}, _TRIDIAGONAL),
         step=2, first_chain=1,
         branches=(("branch_a", SlCharacter.mod_class(0, 4)),
@@ -583,17 +529,14 @@ def _certify(name: str, system: _System, character: Callable[[int], SlCharacter]
              solved_rows: int = 0) -> RestrictionReport:
     """Check columns 0..count-1 of the action matrix symbolically.
 
-    Column j holds when character(j) tensored with the two dimensional
-    simple equals the sum of the characters the column selects.  An
-    infeasible report counts the columns that held before the first
-    failure.
+    Column j holds when character(j) tensored with L(1), which is the A_inf
+    matrix applied to it, equals the sum of the characters the column
+    selects.  An infeasible report counts the columns that held before the
+    first failure.
     """
     for j in range(count):
-        total = None
-        for i, v in system.f1.col_entries(j):
-            for _ in range(v):
-                total = character(i) if total is None else total.add(character(i))
-        if total is None or character(j).tensor_L1() != total:
+        terms = [character(i) for i, v in system.f1.col_entries(j) for _ in range(v)]
+        if not terms or _A_INF.apply(character(j)) != reduce(PresentedVector.add, terms):
             return RestrictionReport(name, "infeasible", solved_rows + j)
     shown = {system.object(i)[0]: character(i)
              for i in range(system.object_of_chain(_SHOWN_CHAIN) + 1)}
@@ -628,7 +571,7 @@ def _relation_rows(system: _System, count: int, unknown: int, size: int,
                     col = i * size + idx
                     row[col] = row.get(col, 0) + sign
                 else:
-                    acc -= sign * known[i].value(idx)
+                    acc -= sign * known[i].entry(idx)
             rows.append(row)
             rhs.append(acc)
     return rows, rhs

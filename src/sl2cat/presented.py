@@ -18,18 +18,23 @@ tail is the product of the two tails' symbols; below the larger tail_start
 it sums over the stored rows and the tail rows past each head size, so a
 product under a shared huge head costs its band, not its head size.
 
-Vectors follow the same pattern with an eventually affine tail
-v_i = a * i + b (a single constant for Z-indexed vectors).
+Vectors follow the same pattern with an eventually periodic-affine tail:
+past the head, entry i is a_r * (i // p) + b_r with r = i % p, one pair
+(a_r, b_r) per residue of the period p.  At p = 1 that is a * i + b; a
+Z-indexed vector is a single constant.  One normal form, the smallest
+period dividing p and then the shortest head, sits behind equality,
+hashing and is_zero; add writes both terms at the lcm of their periods.
 
-All objects are immutable and stored in a canonical normalized form: zero
-entries are dropped, the band is minimal, and the head is shrunk while its
-boundary agrees with the tail rule.  Equality and hashing are structural
-on that canonical form.
+Matrices are stored in a canonical normalized form: zero entries are
+dropped, the band is minimal, and the head is shrunk while its boundary
+agrees with the tail rule.  Equality and hashing are structural on that
+canonical form.
 """
 
 from __future__ import annotations
 
 import re
+from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -403,22 +408,28 @@ class PresentedMatrix:
     def apply(self, vec: "PresentedVector") -> "PresentedVector":
         """Exact matrix-vector product.
 
-        The affine tail of the result is certified symbolically: on generic
-        rows the value is sum_d T(d) * (a*(i+d) + b), an affine polynomial in
-        i, and the boundary rows are computed explicitly.
+        The periodic-affine tail of the result is certified symbolically:
+        on a generic row i = p*q + r the value is sum_d T(d) * v(i + d),
+        and v(i + d) = a_s * (q + (r + d) // p) + b_s with s = (r + d) % p,
+        affine in q.  The boundary rows are computed explicitly.
         """
         if self.index != vec.index:
             raise PresentationError("index sets differ")
-        if self.index.kind == "int":
-            b = sum(v * vec.tail_b for v in self._diags.values())
-            return PresentedVector(self.index, (), 0, b)
-        boundary = max(self.tail_start(), len(vec.head) + self.band)
-        head = [
-            sum(v * vec.entry(j) for j, v in self.row_entries(i)) for i in range(boundary)
-        ]
-        a = vec.tail_a * sum(self._diags.values())
-        b = sum(v * (vec.tail_a * d + vec.tail_b) for d, v in self._diags.items())
-        return PresentedVector(self.index, head, a, b)
+        rows = 0 if self.index.kind == "int" else max(self.tail_start(),
+                                                     len(vec.head) + self.band)
+        # stored entries sit in rows below tail_start, and diagonal d adds (i, i + d)
+        # with both past the head size, so every column read is below rows + band
+        values, hs, diags = vec.truncate(rows + self.band), self.head_size, self._diags.items()
+        head = [0] * rows
+        for (i, j), v in self._items():
+            head[i] += v * values[j]
+        for d, v in diags:
+            for i in range(max(hs, hs - d), rows):
+                head[i] += v * values[i + d]
+        p = vec.period
+        a = [sum(v * vec.tails[(r + d) % p][0] for d, v in diags) for r in range(p)]
+        b = [sum(v * _tail_value(vec.tails, r + d) for d, v in diags) for r in range(p)]
+        return PresentedVector(self.index, head, zip(a, b))
 
     # -- windows and serialization ------------------------------------------
 
@@ -506,59 +517,99 @@ class PresentedMatrix:
         )
 
 
-class PresentedVector:
-    """Immutable countably-indexed integer vector with an eventually affine tail."""
+def _tail_value(tails: tuple[tuple[int, int], ...], i: int) -> int:
+    a, b = tails[i % len(tails)]
+    return a * (i // len(tails)) + b
 
-    __slots__ = ("index", "head", "tail_a", "tail_b")
+
+def _refine(tails: tuple[tuple[int, int], ...], period: int) -> tuple[tuple[int, int], ...]:
+    """The same tail at ``period``, a multiple of its own period."""
+    p = len(tails)
+    if p == period:
+        return tails
+    return tuple(((period // p) * tails[s % p][0], _tail_value(tails, s))
+                 for s in range(period))
+
+
+def _normal_form(index: IndexSet, head: tuple[int, ...], tails: tuple[tuple[int, int], ...]):
+    """The smallest period dividing len(tails), the first q that refines back
+    to the given tail as every period is its multiple; then on N the shortest head."""
+    p = len(tails)
+    for q in range(1, p):
+        if p % q == 0:
+            base = tuple((a // (p // q), b) for a, b in tails[:q])
+            if _refine(base, p) == tails:
+                tails = base
+                break
+    n = len(head)
+    if index.kind == "nat":
+        while n and head[n - 1] == _tail_value(tails, n - 1):
+            n -= 1
+    return head[:n], tails
+
+
+class PresentedVector:
+    """Immutable integer vector: a head, then a_r * (i // p) + b_r, r = i % p, p = len(tails)."""
+
+    __slots__ = ("index", "head", "tails")
 
     def __init__(
         self,
         index: IndexSet,
         head: Iterable[int] = (),
-        tail_a: int = 0,
-        tail_b: int = 0,
+        tails: Iterable[tuple[int, int]] = ((0, 0),),
     ):
-        head_t = tuple(_as_int(x) for x in head)
-        tail_a = _as_int(tail_a)
-        tail_b = _as_int(tail_b)
+        head_t = tuple(x if type(x) is int else _as_int(x) for x in head)
+        tails_t = tuple((_as_int(a), _as_int(b)) for a, b in tails)
+        if not tails_t:
+            raise PresentationError("a tail needs period >= 1")
+        head_t, tails_t = _normal_form(index, head_t, tails_t)
         if index.kind == "finite":
             if len(head_t) != index.size:
                 raise PresentationError(
                     f"finite vector needs exactly {index.size} entries, got {len(head_t)}"
                 )
-            if tail_a or tail_b:
+            if tails_t != ((0, 0),):
                 raise PresentationError("finite vectors have no tail")
-        elif index.kind == "int":
-            if head_t or tail_a:
-                raise PresentationError("Z-indexed vectors are a single constant")
-        else:
-            n = len(head_t)
-            while n and head_t[n - 1] == tail_a * (n - 1) + tail_b:
-                n -= 1
-            head_t = head_t[:n]
+        elif index.kind == "int" and (head_t or len(tails_t) > 1 or tails_t[0][0]):
+            raise PresentationError("Z-indexed vectors are a single constant")
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "head", head_t)
-        object.__setattr__(self, "tail_a", tail_a)
-        object.__setattr__(self, "tail_b", tail_b)
+        object.__setattr__(self, "tails", tails_t)
 
     def __setattr__(self, *_):
-        raise AttributeError("PresentedVector is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def period(self) -> int:
+        return len(self.tails)
 
     def entry(self, i: int) -> int:
+        if 0 <= i < len(self.head):
+            return self.head[i]
         if not self.index.contains(i):
             raise IndexError(f"{i} outside index set")
-        if self.index.kind == "int":
-            return self.tail_b
-        if i < len(self.head):
-            return self.head[i]
-        return self.tail_a * i + self.tail_b
+        return _tail_value(self.tails, i)
 
     def truncate(self, n: int) -> list[int]:
         lo = -(n // 2) if self.index.kind == "int" else 0
         return [self.entry(lo + i) for i in range(n)]
 
+    def add(self, other: "PresentedVector") -> "PresentedVector":
+        """Entrywise sum, both terms written at the lcm of their periods
+        and over the longer head."""
+        if self.index != other.index:
+            raise PresentationError("index sets differ")
+        period = lcm(self.period, other.period)
+        head = [self.entry(i) + other.entry(i)
+                for i in range(max(len(self.head), len(other.head)))]
+        tails = [(a1 + a2, b1 + b2) for (a1, b1), (a2, b2)
+                 in zip(_refine(self.tails, period), _refine(other.tails, period))]
+        return PresentedVector(self.index, head, tails)
+
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.head) and self.tail_a == 0 and self.tail_b == 0
+        head, tails = self._key()[1:]
+        return tails == ((0, 0),) and not any(head)
 
     def is_strictly_positive(self) -> bool:
         """True if every entry is > 0 (for infinite indices: eventually too)."""
@@ -566,16 +617,19 @@ class PresentedVector:
             return False
         if self.index.kind == "finite":
             return True
-        if self.index.kind == "int":
-            return self.tail_b > 0
-        if self.tail_a < 0:
-            return False
-        return self.tail_a * len(self.head) + self.tail_b > 0
+        # past the head each residue class is affine in its block, so it
+        # stays positive when its slope is >= 0 and its first value is > 0
+        h, p = len(self.head), self.period
+        return all(a >= 0 and self.entry(h + (r - h) % p) > 0
+                   for r, (a, _) in enumerate(self.tails))
 
     def to_json_dict(self) -> dict:
         doc: dict = {"head": list(self.head)}
         if self.index.kind != "finite":
-            doc["tail"] = {"a": self.tail_a, "b": self.tail_b}
+            if self.period != 1:
+                raise PresentationError("a vector document holds a period-1 tail")
+            ((a, b),) = self.tails
+            doc["tail"] = {"a": a, "b": b}
         return doc
 
     @staticmethod
@@ -588,10 +642,10 @@ class PresentedVector:
         tail = data.get("tail", {"a": 0, "b": 0})
         if not isinstance(tail, dict):
             raise PresentationError("vector tail must be an object")
-        return PresentedVector(index, head, tail.get("a", 0), tail.get("b", 0))
+        return PresentedVector(index, head, [(tail.get("a", 0), tail.get("b", 0))])
 
     def _key(self):
-        return (self.index, self.head, self.tail_a, self.tail_b)
+        return (self.index, *_normal_form(self.index, self.head, self.tails))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PresentedVector) and self._key() == other._key()
@@ -600,7 +654,5 @@ class PresentedVector:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        return (
-            f"PresentedVector({self.index!r}, head={list(self.head)}, "
-            f"tail={self.tail_a}*i+{self.tail_b})"
-        )
+        return (f"{type(self).__name__}({self.index!r}, head={list(self.head)}, "
+                f"tails={list(self.tails)})")

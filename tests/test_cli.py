@@ -485,6 +485,28 @@ def test_decompose_rejects_weights_outside_catalog(capsys):
     assert code == 3
 
 
+def test_tensoring_simple_weight_is_bounded_exit_3(capsys):
+    bound = 10_000  # the bound the README states
+    calls = [
+        ("decompose", "--tensor", "L(" + "1" * 5000 + ") x P(-2)"),
+        ("decompose", "--tensor", f"L({bound + 1}) x P(-2)", "--json"),
+        ("oracle", "o-tensor", "--n", str(bound + 1), "--object", "L(-1)", "--json"),
+        ("oracle", "o-tensor", "--n", "200000", "--coset-offset", "0"),
+    ]
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv[:2]
+        assert err.startswith("error:") and "Traceback" not in err
+        assert str(bound) in err
+    # the bound itself still answers
+    code, doc = run_json(capsys, "oracle", "o-tensor", "--n", str(bound),
+                         "--object", "L(-1)", "--json")
+    assert code == 0 and len(doc["verma_flag"]) == bound + 1
+    code, out, err = run(capsys, "decompose", "--tensor", f"L({bound}) x P(-2)")
+    assert (code, err) == (0, "") and out.endswith(f" + P({-bound - 2})\n")
+    assert oracles.MAX_TENSOR_WEIGHT == bound
+
+
 # -- oracles ------------------------------------------------------------------------------
 
 
@@ -578,6 +600,54 @@ def test_restrictions_dinf_assumed_minimum_truncation(capsys):
                          "--truncation", "7", "--assume-restrictions", "--json")
     assert code == 0
     assert doc["status"] == "consistent"
+
+
+#: sha256 of `oracle restrictions --system S --truncation T --json`, without and
+#: with --assume-restrictions (None: below the assumed dinf minimum of 7)
+RESTRICTION_DIGESTS = {
+    ("takiff", 4): ("6af0fa67e8aa60c7ae540ee1d44d15713080a344dc84173d8727f66242624603",
+                    "6af0fa67e8aa60c7ae540ee1d44d15713080a344dc84173d8727f66242624603"),
+    ("takiff", 7): ("88ab6591a1f59bbb0735f3448ceee0e9ba96645a884b3c2242829281bcd139fa",
+                    "88ab6591a1f59bbb0735f3448ceee0e9ba96645a884b3c2242829281bcd139fa"),
+    ("takiff", 12): ("bc87129a22828b398ef7ee6b61f0290aab9bcb00ad39af49880fd73b49934c4e",
+                     "bc87129a22828b398ef7ee6b61f0290aab9bcb00ad39af49880fd73b49934c4e"),
+    ("takiff", 20): ("fbddaace4bb376aafd57b0f9c0a17514d7f89f84f21d6228470430d9b3a8a211",
+                     "fbddaace4bb376aafd57b0f9c0a17514d7f89f84f21d6228470430d9b3a8a211"),
+    ("takiff", 40): ("5bf2ff0a7974a372c3cf1c5790ee186e869d520e91f922ad53617ea3dd7c36cc",
+                     "5bf2ff0a7974a372c3cf1c5790ee186e869d520e91f922ad53617ea3dd7c36cc"),
+    ("schrodinger", 4): ("f679bd7611aa073df421493822ecdd00500538f4f25bc1e69fc90e8b4dfd7e17",
+                         "f679bd7611aa073df421493822ecdd00500538f4f25bc1e69fc90e8b4dfd7e17"),
+    ("schrodinger", 7): ("3e8187bbe143048ad7aa23a948006c7459f718b47c91d570d5f3833ede592704",
+                         "3e8187bbe143048ad7aa23a948006c7459f718b47c91d570d5f3833ede592704"),
+    ("schrodinger", 12): ("3c280af1d1086fb10c5e12c61338a22f45d83f8005900dc3c93fd4eb735a3358",
+                          "3c280af1d1086fb10c5e12c61338a22f45d83f8005900dc3c93fd4eb735a3358"),
+    ("schrodinger", 20): ("c0c44709032b8c718033901bb74827d0b366689b6df09e2de06832f2aa6d9aa9",
+                          "c0c44709032b8c718033901bb74827d0b366689b6df09e2de06832f2aa6d9aa9"),
+    ("schrodinger", 40): ("7b6d3859099ce72ad9ffecb8b087200fdc0e6e5b6ef498d355406aa3f40fd482",
+                          "7b6d3859099ce72ad9ffecb8b087200fdc0e6e5b6ef498d355406aa3f40fd482"),
+    ("dinf", 4): ("8c84412628cc6932dfee47c29ce871b5ac447e36f6634ff4821ee13034180b9d",
+                  None),
+    ("dinf", 7): ("93889d9a2d15a03c825ab5322b033caaf80b536b9539fddf16a2de2d80d27040",
+                  "0c6011d9356fd059d81348d9338ceefbb3a04f532ec485c110c0861bafb9c600"),
+    ("dinf", 12): ("61405f57e15965f600dde7371588dfa12253b4a7d1c74282d3e317f72e8a6625",
+                   "9115e6e16b81411ab96156130b468388120eaa1d403cb35fba6ee627307806e9"),
+    ("dinf", 20): ("06d5b2c920527dfd03d7ccf14f00c1f6ee21a784ac0f1950aa1a394e5f776c56",
+                   "509b1653df681d14d9b8caf08feb52ef7f3025fab52400e61ef622ea8d310ee7"),
+    ("dinf", 40): ("119b166176b024319501d3463fe54596807d4681786fee051930e47fb7a638d0",
+                   "cd0f7e2a7e0f778e3fefe0a64ef4d19454f5c2d783549309b0d79d9fa6c4e630"),
+}
+
+
+@pytest.mark.parametrize("system, truncation", sorted(RESTRICTION_DIGESTS))
+def test_restriction_documents_match_recorded_digests(capsys, system, truncation):
+    for assume, digest in zip((False, True), RESTRICTION_DIGESTS[system, truncation]):
+        if digest is None:
+            continue
+        flags = ["--assume-restrictions"] if assume else []
+        code, out, err = run(capsys, "oracle", "restrictions", "--system", system,
+                             "--truncation", str(truncation), "--json", *flags)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, assume
 
 
 def test_restrictions_unknown_system_exit_3(capsys):

@@ -164,7 +164,7 @@ def test_infinite_templates_classify_to_themselves():
         assert result.kind == "infinite", (family, result.certificate)
         assert result.dtype == dtype
         vec = find_positive_null_vector(gcm)
-        assert vec.head == head and (vec.tail_a, vec.tail_b) == (a, b), family
+        assert vec.head == head and vec.tails == ((a, b),), family
         assert gcm.apply(vec).is_zero()
 
 

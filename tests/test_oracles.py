@@ -223,14 +223,43 @@ def test_character_tensor_matches_brute_force():
         SlCharacter((3, 0, 1), 1, ((1, 2),)),
     ]:
         window = 24
-        got = char.tensor_L1().truncate(window)
+        got = oracles._A_INF.apply(char).truncate(window)
         want = dense_tensor_L1(char.truncate(window + 1))[:window]
         assert got == want, char.to_json()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=4),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)), min_size=1, max_size=4))
+def test_random_character_tensor_matches_brute_force(head, tails):
+    char = SlCharacter(head, len(tails), tails)
+    window = 30
+    got = oracles._A_INF.apply(char).truncate(window)
+    assert got == dense_tensor_L1(char.truncate(window + 1))[:window]
 
 
 def test_character_addition():
     total = SlCharacter.mod_class(0, 4).add(SlCharacter.mod_class(2, 4))
     assert total == SlCharacter.tower(0, 2)
+
+
+def test_character_keeps_its_head_and_period():
+    # chain_3 prints its three-entry head although two entries would do
+    chain3 = SlCharacter.tower(3, 2)
+    assert chain3.to_json() == {"head": [0, 0, 0], "period": 2,
+                                "tail": [{"slope": 0, "base": 1}, {"slope": 0, "base": 0}]}
+    assert chain3 == SlCharacter((0, 0), 2, ((0, 0), (0, 1)))
+    doubled = SlCharacter((2,), 2, ((1, 3), (2, 0)))
+    assert doubled.truncate(7) == [2, 3, 0, 4, 2, 5, 4]
+    assert doubled.to_json()["tail"] == [{"slope": 1, "base": 3}, {"slope": 2, "base": 0}]
+
+
+def test_fit_periodic_skips_a_negative_tail():
+    # at head length 0 the residue-0 slope is 1 - 5 < 0, so the fit moves on
+    values = [5, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0]
+    fitted = oracles._fit_periodic(values, 4)
+    assert fitted.head == (5,)
+    assert fitted.truncate(len(values)) == values
 
 
 # -- restriction systems ----------------------------------------------------------

@@ -298,20 +298,23 @@ def test_transpose_involution(a):
     ]
 
 
+nat_vectors = st.builds(
+    lambda head, tails: PresentedVector(NAT, head, tails),
+    st.lists(st.integers(-4, 4), min_size=0, max_size=4),
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-3, 3)), min_size=1, max_size=4),
+)
+
+
 def vectors_for(m: PresentedMatrix):
-    """Vectors on m's index set: full length, affine tail, or one constant."""
+    """Vectors on m's index set: full length, periodic-affine tail of period
+    1 to 4, or one constant."""
     if m.index.kind == "finite":
         n = m.index.size
         return st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(
             lambda head: PresentedVector(m.index, head))
     if m.index.kind == "int":
-        return st.integers(-3, 3).map(lambda b: PresentedVector(INT, (), 0, b))
-    return st.builds(
-        lambda head, a, b: PresentedVector(NAT, head, a, b),
-        st.lists(st.integers(-4, 4), min_size=0, max_size=4),
-        st.integers(-2, 2),
-        st.integers(-3, 3),
-    )
+        return st.integers(-3, 3).map(lambda b: PresentedVector(INT, (), [(0, b)]))
+    return nat_vectors
 
 
 @settings(max_examples=200, deadline=None)
@@ -334,12 +337,12 @@ def test_apply_certifies_affine_tail():
     # Cartan matrix of the one-ended chain annihilates v_i = i + 1
     chain = tridiagonal_nat()
     cartan = PresentedMatrix.scaled_identity(NAT, 2).add(chain.scale(-1))
-    v = PresentedVector(NAT, (), 1, 1)
+    v = PresentedVector(NAT, (), [(1, 1)])
     assert cartan.apply(v).is_zero()
     # and the (1, 2, 2, 2, ...) vector for the double-bond chain
     double = PresentedMatrix(NAT, 1, {(0, 1): 1, (1, 0): 2}, {-1: 1, 1: 1})
     cartan2 = PresentedMatrix.scaled_identity(NAT, 2).add(double.scale(-1))
-    w = PresentedVector(NAT, (1,), 0, 2)
+    w = PresentedVector(NAT, (1,), [(0, 2)])
     assert cartan2.apply(w).is_zero()
 
 
@@ -347,15 +350,41 @@ def test_vector_normalization_is_linear_in_the_head(time_limit):
     with time_limit(1.0):
         zero = PresentedVector(NAT, [0] * 40_000)
     assert zero == PresentedVector(NAT)
-    odd = PresentedVector(NAT, [2 * i + 1 for i in range(40_000)], 2, 1)
+    odd = PresentedVector(NAT, [2 * i + 1 for i in range(40_000)], [(2, 1)])
     assert odd.head == ()
 
 
+def refined_tails(vec: PresentedVector, period: int) -> list[tuple[int, int]]:
+    """Slope and base of each residue class mod period, read off two far entries."""
+    far = len(vec.head) + period
+    tails = []
+    for s in range(period):
+        v0, v1 = vec.entry(s + period * far), vec.entry(s + period * (far + 1))
+        tails.append((v1 - v0, v0 - (v1 - v0) * far))
+    return tails
+
+
+@settings(max_examples=200, deadline=None)
+@given(nat_vectors, nat_vectors, st.integers(0, 6), st.integers(1, 3), st.integers(0, 12),
+       st.integers(1, 3))
+def test_vector_normal_form_and_addition(vec, other, pad, factor, index, delta):
+    # the same sequence over a padded head at a refined period
+    n = len(vec.head) + pad
+    again = PresentedVector(NAT, vec.truncate(n), refined_tails(vec, vec.period * factor))
+    assert again == vec and hash(again) == hash(vec)
+    changed = vec.truncate(max(n, index + 1))
+    changed[index] += delta
+    assert PresentedVector(NAT, changed, vec.tails) != vec
+    window = 40
+    total = [x + y for x, y in zip(vec.truncate(window), other.truncate(window))]
+    assert vec.add(other).truncate(window) == total
+
+
 def test_vector_normalization_absorbs_affine_head():
-    v = PresentedVector(NAT, (1, 2, 3, 4), 1, 1)
+    v = PresentedVector(NAT, (1, 2, 3, 4), [(1, 1)])
     assert v.head == ()
     assert v.entry(0) == 1 and v.entry(9) == 10
-    w = PresentedVector(NAT, (5, 2, 3), 1, 1)
+    w = PresentedVector(NAT, (5, 2, 3), [(1, 1)])
     assert w.head == (5,)
 
 
@@ -415,7 +444,7 @@ def test_json_validation_errors():
 
 
 def test_vector_json_round_trip():
-    v = PresentedVector(NAT, (1, 5), 2, 1)
+    v = PresentedVector(NAT, (1, 5), [(2, 1)])
     doc = v.to_json_dict()
     assert PresentedVector.from_json_dict(doc, NAT) == v
 
