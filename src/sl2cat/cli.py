@@ -5,6 +5,15 @@ Every data-reporting subcommand takes ``--json`` for machine-readable
 output (schemas ship under ``sl2cat/schemas/``); all numbers are exact,
 with rationals rendered as ``p/q`` strings.  Exit codes: 0 success,
 2 usage error, 3 invalid input, 4 verification mismatch.
+
+``main`` is the one error boundary.  Every invalid input is a
+``ValueError`` (``GCMError``, ``PresentationError``, ``NotInCatalog``,
+``PreconditionFailed`` and ``CliError`` among them): it prints
+``error: ...`` on stderr and exits 3.  ``UsageError`` and argparse exit 2,
+and a verification mismatch exits 4.  A ``RuntimeError`` is an internal
+failure, such as a self-check that did not hold, and surfaces as a
+traceback.  A handler catches a library exception only to add context to
+its message.
 """
 
 from __future__ import annotations
@@ -18,9 +27,9 @@ from functools import cache
 from pathlib import Path
 
 from . import __version__, modcat, oracles
-from .dynkin import Classification, GCMError, classify, classify_components, graph_of
-from .modcat import ModuleCategoryModel, PreconditionFailed
-from .oracles import NamedOObject, NotInCatalog, SlCharacter
+from .dynkin import Classification, classify, classify_components, graph_of
+from .modcat import ModuleCategoryModel
+from .oracles import NamedOObject, SlCharacter
 from .presented import PresentationError, PresentedMatrix
 
 EXIT_OK = 0
@@ -29,7 +38,7 @@ EXIT_INVALID = 3
 EXIT_MISMATCH = 4
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Invalid input the user can fix; reported on stderr with exit code 3."""
 
 
@@ -82,10 +91,7 @@ def _with_basis(m: ModuleCategoryModel, basis: str | None) -> ModuleCategoryMode
     if basis is None or basis == m.basis:
         return m
     if basis == "simples":
-        try:
-            return modcat.to_simples_basis(m)
-        except PreconditionFailed as exc:
-            raise CliError(str(exc)) from exc
+        return modcat.to_simples_basis(m)
     raise CliError(f"cannot convert a {m.basis}-basis model to the {basis} basis")
 
 
@@ -193,22 +199,19 @@ def _format_character(c: SlCharacter) -> str:
 
 def _cmd_classify(args) -> int:
     gcm = _load_gcm(args.gcm)
-    try:
-        if args.components:
-            pieces = classify_components(gcm)
-            if args.json:
-                _print_json({"components": [
-                    {"vertices": comp, "display": _display_line(res), **res.to_json()}
-                    for comp, res in pieces
-                ]})
-            else:
-                for comp, res in pieces:
-                    vertices = ",".join(str(v) for v in comp)
-                    print(f"component {vertices}: {_display_line(res)}")
-            return EXIT_OK
-        result = classify(gcm)
-    except GCMError as exc:
-        raise CliError(str(exc)) from exc
+    if args.components:
+        pieces = classify_components(gcm)
+        if args.json:
+            _print_json({"components": [
+                {"vertices": comp, "display": _display_line(res), **res.to_json()}
+                for comp, res in pieces
+            ]})
+        else:
+            for comp, res in pieces:
+                vertices = ",".join(str(v) for v in comp)
+                print(f"component {vertices}: {_display_line(res)}")
+        return EXIT_OK
+    result = classify(gcm)
     if args.json:
         _print_json({"display": _display_line(result), **result.to_json()})
         return EXIT_OK
@@ -293,10 +296,7 @@ def _cmd_verify_catalog(args) -> int:
 
 def _cmd_obstruction(args) -> int:
     m = _load_model(args.model)
-    try:
-        report = modcat.socle_top_feasibility(m, args.depth, schur_dim=args.schur_dim)
-    except (PreconditionFailed, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    report = modcat.socle_top_feasibility(m, args.depth, schur_dim=args.schur_dim)
     if args.json:
         _print_json({"model": m.name, **report.to_json()})
         return EXIT_OK
@@ -328,18 +328,12 @@ def _parse_tensor(text: str) -> tuple[int, NamedOObject]:
     except ValueError as exc:  # more digits than the interpreter converts
         bound = oracles.MAX_TENSOR_WEIGHT
         raise CliError(f"the tensoring simple L(n) needs n <= {bound}") from exc
-    try:
-        return n, NamedOObject.parse(match.group(2))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return n, NamedOObject.parse(match.group(2))
 
 
 def _cmd_decompose(args) -> int:
     n, obj = _parse_tensor(args.tensor)
-    try:
-        parts = oracles.decompose_in_N(oracles.tensor_in_O(n, oracles.class_of(obj)))
-    except (NotInCatalog, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    parts = oracles.decompose_in_N(oracles.tensor_in_O(n, oracles.class_of(obj)))
     ordered = sorted(parts.items(), key=lambda kv: (-kv[0].weight, kv[0].kind))
     if args.json:
         _print_json({
@@ -374,16 +368,13 @@ def _coset_name(offset: int) -> str:
 def _cmd_o_tensor(args) -> int:
     if args.n < 0:
         raise CliError("--n must be >= 0")
-    try:
-        if args.coset_offset is not None:
-            start = oracles.verma(args.coset_offset, coset=True)
-            shown_input, name = _coset_name(args.coset_offset), _coset_name
-        else:
-            obj = NamedOObject.parse(args.object)
-            start, shown_input, name = oracles.class_of(obj), obj.display(), "Delta({})".format
-        vec = oracles.tensor_in_O(args.n, start)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if args.coset_offset is not None:
+        start = oracles.verma(args.coset_offset, coset=True)
+        shown_input, name = _coset_name(args.coset_offset), _coset_name
+    else:
+        obj = NamedOObject.parse(args.object)
+        start, shown_input, name = oracles.class_of(obj), obj.display(), "Delta({})".format
+    vec = oracles.tensor_in_O(args.n, start)
 
     ordered = sorted(vec.items(), key=lambda kv: -kv[0])
     if args.json:
@@ -408,10 +399,7 @@ def _cmd_jordan(args) -> int:
         lam = Fraction(args.eigenvalue)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"cannot parse eigenvalue {args.eigenvalue!r}: {exc}") from exc
-    try:
-        partition = oracles.jordan_kronecker_oracle(args.n, lam)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    partition = oracles.jordan_kronecker_oracle(args.n, lam)
     if args.json:
         _print_json({"n": args.n, "eigenvalue": str(lam), **partition.to_json()})
         return EXIT_OK
@@ -423,11 +411,8 @@ def _cmd_restrictions(args) -> int:
     names = oracles.restriction_system_names()
     if args.system not in names:
         raise CliError(f"unknown system {args.system!r}; have {', '.join(names)}")
-    try:
-        report = oracles.restriction_consistency_solve(
-            args.system, args.truncation, args.assume_restrictions)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = oracles.restriction_consistency_solve(
+        args.system, args.truncation, args.assume_restrictions)
     if args.json:
         _print_json({**report.to_json(), "truncation": args.truncation})
     else:
@@ -462,19 +447,14 @@ def _cmd_render(args) -> int:
     if args.model is not None:
         m = _load_model(args.model)
         name = m.name
-        nodes, edges = modcat.action_graph(m, args.size)
+        nodes, edges = modcat.action_graph(m.f1, args.size)
     else:
         gcm = _load_gcm(args.gcm)
-        try:
-            adjacency = graph_of(gcm)
-        except GCMError as exc:
-            raise CliError(str(exc)) from exc
+        adjacency = graph_of(gcm)
         # action_graph reads columns as images, so feed it the transpose to
         # get the diagram convention: an edge i -> j per adjacency entry (i, j)
         name = Path(args.gcm).stem
-        wrapper = ModuleCategoryModel(name, "projectives",
-                                      adjacency.transpose(), "diagram adjacency")
-        nodes, edges = modcat.action_graph(wrapper, args.size)
+        nodes, edges = modcat.action_graph(adjacency.transpose(), args.size)
     dot = _to_dot(name, nodes, edges)
     if args.dot == "-":
         print(dot, end="")
@@ -538,10 +518,7 @@ def _cmd_predict(args) -> int:
         if (args.semisimple or args.nilpotent) and args.dim != 1:
             raise UsageError("--semisimple and --nilpotent apply to --dim 1 only; "
                              "cases a and b already encode them")
-        try:
-            prediction = modcat.subalgebra_type(dim, semisimple)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        prediction = modcat.subalgebra_type(dim, semisimple)
         fallback_label = f"dim {dim}"
     if args.json:
         _print_json({"theorem": args.theorem, **prediction.to_json()})
@@ -715,7 +692,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CliError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

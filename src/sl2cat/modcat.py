@@ -141,13 +141,12 @@ def check_categorifiability(m: ModuleCategoryModel, upto: int = 12) -> tuple[boo
 # -- transitivity ----------------------------------------------------------------
 
 
-def action_graph(m: ModuleCategoryModel, size: int | None = None) -> tuple[list[int], list[tuple[int, int, int]]]:
+def action_graph(f1: PresentedMatrix, size: int | None = None) -> tuple[list[int], list[tuple[int, int, int]]]:
     """Vertices and labelled edges i -> j of the action digraph on a window.
 
     The edge i -> j carries the multiplicity of basis object j in the
-    image of object i, i.e. the (j, i) entry of the action matrix.
+    image of object i, i.e. the (j, i) entry of the action matrix f1.
     """
-    f1 = m.f1
     if f1.index.kind == "finite":
         size = f1.index.size if size is None else min(size, f1.index.size)
     elif size is None:

@@ -39,8 +39,12 @@ from .presented import PresentedMatrix
 __all__ = ["ObstructionReport", "PreconditionFailed", "solve_feasibility"]
 
 
-class PreconditionFailed(RuntimeError):
-    """A required hypothesis (basis, categorifiability, transitivity) fails."""
+class PreconditionFailed(ValueError):
+    """A required hypothesis (basis, categorifiability, transitivity) fails.
+
+    The model given is at fault, not the solver, so this is invalid input
+    (a ValueError; the CLI exits 3 on it).
+    """
 
 
 @dataclass(frozen=True)

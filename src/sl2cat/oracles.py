@@ -161,7 +161,13 @@ class NamedOObject:
         m = _NAMED_RE.match(text.strip())
         if m is None:
             raise ValueError(f"cannot parse object {text!r}")
-        return cls(m.group(1), int(m.group(2)))
+        kind, digits = m.groups()
+        try:
+            weight = int(digits)
+        except ValueError as exc:  # more digits than the interpreter converts
+            raise ValueError(f"the weight of {kind}(...) is too long "
+                             f"({len(digits)} characters)") from exc
+        return cls(kind, weight)
 
 
 def class_of(obj: NamedOObject) -> OClassVector:

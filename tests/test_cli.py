@@ -1,17 +1,22 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from sl2cat import modcat, oracles
 from sl2cat.cli import main
+from sl2cat.dynkin import gcm_of
 from sl2cat.presented import PresentedMatrix
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "sl2cat" / "schemas"
@@ -507,6 +512,16 @@ def test_tensoring_simple_weight_is_bounded_exit_3(capsys):
     assert oracles.MAX_TENSOR_WEIGHT == bound
 
 
+def test_long_object_weight_exit_3_in_package_words(capsys):
+    weight = "-" + "1" * 5000  # past the interpreter's 4,300-digit int() limit
+    for argv in [("oracle", "o-tensor", "--n", "1", "--object", f"P({weight})"),
+                 ("decompose", "--tensor", f"L(1) x P({weight})")]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv[:2]
+        assert err.startswith("error: ") and err.count("\n") == 1, argv[:2]
+        assert "set_int_max_str_digits" not in err
+
+
 # -- oracles ------------------------------------------------------------------------------
 
 
@@ -774,6 +789,112 @@ def test_predict_flag_combinations_exit_2(capsys):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("usage error: "), argv
+
+
+# -- error boundary -----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Model and GCM files for the argv grammar: valid, broken and missing."""
+    root = tmp_path_factory.mktemp("argv")
+    docs = {
+        "finite.json": PresentedMatrix.from_dense([[0, 1], [1, 0]]).to_json_dict(),
+        "zero.json": PresentedMatrix.from_dense([[0]]).to_json_dict(),
+        "nat.json": modcat.catalog("Tinf").to_json(),
+        "simples.json": {"basis": "simples", "f1": modcat.catalog("Cinf").f1.to_json_dict()},
+        "a2.json": PresentedMatrix.from_dense([[2, -1], [-1, 2]]).to_json_dict(),
+        "positive.json": PresentedMatrix.from_dense([[2, 1], [1, 2]]).to_json_dict(),
+        "natgcm.json": gcm_of(modcat.catalog("Ainf").f1).to_json_dict(),
+    }
+    for name, doc in docs.items():
+        (root / name).write_text(json.dumps(doc))
+    (root / "invalid.json").write_text("{not json")
+    paths = [str(root / name) for name in [*docs, "invalid.json", "missing.json"]]
+    return root, paths
+
+
+def _argv(root, paths):
+    """Argument lists for every verb and oracle, valid and invalid, with small values."""
+    def words(*parts):
+        return st.tuples(*parts).map(lambda ps: [w for p in ps for w in p])
+
+    def flag(name, values):
+        return values.map(lambda v: [name, v])
+
+    def optional(name, values):
+        return st.one_of(st.just([]), flag(name, values))
+
+    def num(lo, hi):
+        return st.one_of(st.integers(lo, hi).map(str), st.sampled_from(["x", "1.5", ""]))
+
+    def fixed(*ws):
+        return st.just(list(ws))
+
+    models = st.sampled_from([*modcat.catalog_names(), *paths, "NoSuch"])
+    files = st.sampled_from(paths)
+    objects = st.sampled_from(["L(-1)", "P(-2)", "P(-1)", "L(0)", "Delta(3)", "Q(1)", "P(x)", ""])
+    tensors = st.one_of(
+        st.builds("L({}) x {}".format, st.integers(0, 8), objects),
+        st.sampled_from(["L(1) plus P(-2)", "L(10001) x P(-2)", "L(x) x P(-2)", ""]))
+    systems = st.sampled_from([*oracles.restriction_system_names(), "nope"])
+    eigenvalues = st.sampled_from(["0", "1/2", "-9/4", "3", "x", "1/0"])
+    dots = st.sampled_from(["-", str(root / "out.dot"), str(root / "nodir" / "out.dot")])
+    json_flag = st.sampled_from([[], ["--json"]])
+    return st.one_of(
+        words(fixed("classify"), flag("--gcm", files),
+              st.sampled_from([[], ["--certificate"], ["--components"]]), json_flag),
+        words(fixed("derive"), flag("--model", models), flag("--upto", num(-2, 6)),
+              optional("--basis", st.sampled_from(["projectives", "simples"])),
+              optional("--window", num(-2, 6)), json_flag),
+        words(fixed("transitive"), flag("--model", models), json_flag),
+        words(fixed("verify-catalog"), json_flag),
+        words(fixed("obstruction"), flag("--model", models), flag("--depth", num(-1, 4)),
+              optional("--schur-dim", num(-1, 2)), json_flag),
+        words(fixed("decompose"), flag("--tensor", tensors), json_flag),
+        words(fixed("oracle", "o-tensor"), flag("--n", num(-1, 8)),
+              st.one_of(flag("--object", objects), flag("--coset-offset", num(-4, 4))),
+              json_flag),
+        words(fixed("oracle", "jordan"), flag("--n", num(-1, 8)),
+              eigenvalues.map(lambda q: [f"--lambda={q}"]), json_flag),
+        words(fixed("oracle", "restrictions"), flag("--system", systems),
+              optional("--truncation", num(-1, 12)),
+              st.sampled_from([[], ["--assume-restrictions"]]), json_flag),
+        words(fixed("render"), st.one_of(flag("--model", models), flag("--gcm", files)),
+              flag("--dot", dots), optional("--size", num(-1, 8))),
+        words(fixed("predict"), flag("--theorem", st.sampled_from(["10.1", "10.2", "9"])),
+              optional("--case", st.sampled_from("abcez")),
+              optional("--weight-class", st.sampled_from([*modcat.WEIGHT_CLASSES, "bogus"])),
+              optional("--dim", num(-1, 4)),
+              st.lists(st.sampled_from(["--special-fixed", "--semisimple", "--nilpotent"]),
+                       unique=True, max_size=3),
+              json_flag),
+        st.lists(st.sampled_from(["--bogus", "classify", "oracle", "--json"]), max_size=3),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_argv_ends_in_an_exit_code(argv_files, data):
+    argv = data.draw(_argv(*argv_files), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), argv
+    if code == 3:
+        assert err.getvalue().startswith("error: "), argv
+
+
+def test_input_errors_exit_3_from_the_script(tmp_path):
+    positive = write_matrix(tmp_path, "positive.json", [[2, 1], [1, 2]])
+    for argv in [("obstruction", "--model", "BinfDual", "--depth", "13"),
+                 ("classify", "--gcm", positive)]:
+        proc = subprocess.run([sys.executable, "-m", "sl2cat.cli", *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (3, ""), argv
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), argv
+        assert "Traceback" not in proc.stderr
 
 
 # -- installed script ---------------------------------------------------------------------

@@ -529,10 +529,10 @@ def test_null_vectors_of_catalog_models_annihilate_dense_windows():
 
 
 def test_action_graph_window():
-    nodes, edges = modcat.action_graph(catalog("Tinf"), 3)
+    nodes, edges = modcat.action_graph(catalog("Tinf").f1, 3)
     assert nodes == [0, 1, 2]
     assert (0, 0, 1) in edges and (0, 1, 1) in edges and (1, 0, 1) in edges
-    nodes_int, _ = modcat.action_graph(catalog("AinfInf"), 4)
+    nodes_int, _ = modcat.action_graph(catalog("AinfInf").f1, 4)
     assert nodes_int == [-2, -1, 0, 1]
 
 
