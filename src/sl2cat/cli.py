@@ -408,9 +408,6 @@ def _cmd_jordan(args) -> int:
 
 
 def _cmd_restrictions(args) -> int:
-    names = oracles.restriction_system_names()
-    if args.system not in names:
-        raise CliError(f"unknown system {args.system!r}; have {', '.join(names)}")
     report = oracles.restriction_consistency_solve(
         args.system, args.truncation, args.assume_restrictions)
     if args.json:

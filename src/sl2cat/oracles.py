@@ -11,7 +11,8 @@ against a second route:
   self-checked chain rule for the U(e)-free modules and the uniseriality
   bookkeeping for their finite dimensional quotients;
 * a Jordan block oracle for a Jordan cell tensored with the two
-  dimensional simple, via exact rank sequences;
+  dimensional simple, read off the degree grading of the tensor product
+  as the intervals of a chain of maps, in one sweep;
 * restriction-character systems, each defined once by its action matrix
   F_1 and the characters of its objects; the consistency solver and the
   action matrix both read it.  A character is a non-negative presented
@@ -109,6 +110,8 @@ def verma(weight: int, coset: bool = False) -> OClassVector:
 #: largest highest weight n of the tensoring simple L(n); the product has
 #: n + 1 Verma classes per input class, so n bounds its size
 MAX_TENSOR_WEIGHT = 10_000
+#: largest size n of the Jordan cell of the Jordan oracle, whose work is linear in n
+MAX_JORDAN_N = 10_000
 
 
 def tensor_in_O(n: int, v: OClassVector) -> OClassVector:
@@ -527,7 +530,7 @@ _DINF_MIN_ASSUMED_TRUNCATION = 2 * _DINF_PERIOD - 1
 
 def _system(name: str) -> _System:
     if name not in _SYSTEMS:
-        raise KeyError(f"unknown restriction system {name!r}; have {sorted(_SYSTEMS)}")
+        raise ValueError(f"unknown system {name!r}; have {', '.join(_SYSTEMS)}")
     return _SYSTEMS[name]
 
 
@@ -634,9 +637,9 @@ def restriction_consistency_solve(
     candidates are certified symbolically.  Every system needs truncation
     >= 4; the assumed forked system needs >= 7 (ValueError otherwise).
     """
+    entry = _system(system)
     if truncation < 4:
         raise ValueError("need truncation >= 4")
-    entry = _system(system)
     if not entry.branches:
         count = entry.object_of_chain(truncation) + 1
         return _certify(system, entry, entry.character, count)
@@ -689,45 +692,54 @@ class JordanPartition:
 def jordan_kronecker_oracle(n: int, lam) -> JordanPartition:
     """Jordan type of a two dimensional Jordan cell summed with an n cell.
 
-    Builds the exact 2n x 2n matrix of the Leibniz action on the tensor
-    product, subtracts the eigenvalue, and reads the partition off the
-    rank sequence of the powers.
+    On e_s (x) f_t the nilpotent part N of the Leibniz action lowers the
+    degree s + t by exactly one, so N is a chain V_n -> ... -> V_0 of
+    degree pieces of dimension <= 2, and its Jordan blocks are the
+    intervals of that chain: [i, b], of size b - i + 1, has multiplicity
+    r(i,b) - r(i,b+1) - r(i-1,b) + r(i-1,b+1), where r(i, j) is the rank
+    of the composite V_j -> V_i (zero off 0 <= i <= j <= n).  One sweep
+    from degree n down reads them off in linear work.  Invariant: the
+    living bars at degree d are independent in V_d, and the unit vectors
+    on the columns they do not pivot, born at d, complete them to a basis.
+    Every bar's image goes through one Echelon, eldest first; a bar whose
+    image reduces to zero dies at d (the elder rule: of dependent images
+    the youngest dies).  Needs 1 <= n <= MAX_JORDAN_N (ValueError otherwise).
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if n > MAX_JORDAN_N:
+        raise ValueError(f"the Jordan cell needs n <= {MAX_JORDAN_N}, got {n}")
     lam = Fraction(lam)
-    size = 2 * n
 
-    def idx(s: int, t: int) -> int:
-        return s * n + t
+    # column s * n + t holds N(e_s (x) f_t)
+    nil: dict[int, dict[int, int]] = {c: {} for c in range(2 * n)}
+    for t in range(n):
+        nil[n + t][t] = 1
+        if t:
+            nil[t][t - 1] = nil[n + t][n + t - 1] = 1
+    degree = [sum(divmod(c, n)) for c in range(2 * n)]
+    pieces: list[list[int]] = [[] for _ in range(n + 1)]
+    for c, col in nil.items():
+        pieces[degree[c]].append(c)
+        if any(degree[r] != degree[c] - 1 for r in col):
+            raise RuntimeError(f"the Jordan action does not lower the degree of column {c}")
 
-    nil: dict[int, dict[int, int]] = {c: {} for c in range(size)}
-    for s in range(2):
-        for t in range(n):
-            if t + 1 < n:
-                nil[idx(s, t + 1)][idx(s, t)] = 1
-            if s == 1:
-                nil[idx(1, t)][idx(0, t)] = nil[idx(1, t)].get(idx(0, t), 0) + 1
-
-    ranks = [size]
-    power = {c: dict(col) for c, col in nil.items()}
-    while ranks[-1] > 0:
-        # the rank of a matrix is the rank of its set of columns
-        ranks.append(Echelon(power.values()).rank)
-        if ranks[-1] == 0:
-            break
-        nxt: dict[int, dict[int, int]] = {}
-        for c in range(size):
-            out: dict[int, int] = {}
-            for mid, v in nil[c].items():
-                for r, w in power.get(mid, {}).items():
-                    out[r] = out.get(r, 0) + v * w
-            nxt[c] = {r: v for r, v in out.items() if v}
-        power = nxt
     blocks: list[tuple[int, Fraction]] = []
-    for k in range(1, len(ranks)):
-        at_least = ranks[k - 1] - ranks[k]
-        longer = ranks[k] - ranks[k + 1] if k + 1 < len(ranks) else 0
-        blocks += [(k, lam)] * (at_least - longer)
+    bars: list[tuple[int, dict[int, int]]] = []  # (birth, vector in V_d), eldest first
+    pivots: dict[int, dict[int, int]] = {}
+    for d in range(n, -1, -1):
+        bars += [(d, {c: 1}) for c in pieces[d] if c not in pivots]
+        echelon = Echelon()
+        living = []
+        for birth, vec in bars:
+            image: dict[int, int] = {}
+            for c, v in vec.items():
+                for r, w in nil[c].items():
+                    image[r] = image.get(r, 0) + v * w
+            if echelon.add(image)[0]:
+                living.append((birth, image))
+            else:
+                blocks.append((birth - d + 1, lam))
+        bars, pivots = living, echelon.pivots
     blocks.sort(reverse=True)
     return JordanPartition(tuple(blocks))

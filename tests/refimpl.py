@@ -3,7 +3,10 @@
 Everything here is deliberately naive: brute-force weight multisets for
 tensor products, dense exact linear algebra over Fraction, permutation
 search for graph matching.  These routes must stay separate from the
-library code they check.
+library code they check.  The one route that reuses library code is the
+rank-of-powers Jordan type: it shares the elimination kernel, which is
+checked against ``rank`` here, and differs from the library's degree
+sweep in the algorithm.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+from sl2cat.kernels import Echelon
 
 
 # -- sl2 weight combinatorics -------------------------------------------------
@@ -173,6 +178,53 @@ def rank(a: list[list]) -> int:
     if not a:
         return 0
     return len(a[0]) - len(rational_kernel(a))
+
+
+# -- Jordan type by ranks of powers -------------------------------------------
+
+
+def jordan_partition_by_powers(n: int, lam) -> tuple[tuple[int, Fraction], ...]:
+    """Jordan type of J_2(lam) (x) J_n(lam) from the ranks of powers of N.
+
+    N is the nilpotent part of the Leibniz action, as a sparse 2n x 2n
+    matrix on e_s (x) f_t at index s * n + t.  The number of blocks of
+    size at least k is rank N^(k-1) - rank N^k.  Quadratic in n.
+    """
+    lam = Fraction(lam)
+    size = 2 * n
+
+    def idx(s: int, t: int) -> int:
+        return s * n + t
+
+    nil: dict[int, dict[int, int]] = {c: {} for c in range(size)}
+    for s in range(2):
+        for t in range(n):
+            if t + 1 < n:
+                nil[idx(s, t + 1)][idx(s, t)] = 1
+            if s == 1:
+                nil[idx(1, t)][idx(0, t)] = nil[idx(1, t)].get(idx(0, t), 0) + 1
+
+    ranks = [size]
+    power = {c: dict(col) for c, col in nil.items()}
+    while ranks[-1] > 0:
+        # the rank of a matrix is the rank of its set of columns
+        ranks.append(Echelon(power.values()).rank)
+        if ranks[-1] == 0:
+            break
+        nxt: dict[int, dict[int, int]] = {}
+        for c in range(size):
+            out: dict[int, int] = {}
+            for mid, v in nil[c].items():
+                for r, w in power.get(mid, {}).items():
+                    out[r] = out.get(r, 0) + v * w
+            nxt[c] = {r: v for r, v in out.items() if v}
+        power = nxt
+    blocks: list[tuple[int, Fraction]] = []
+    for k in range(1, len(ranks)):
+        at_least = ranks[k - 1] - ranks[k]
+        longer = ranks[k] - ranks[k + 1] if k + 1 < len(ranks) else 0
+        blocks += [(k, lam)] * (at_least - longer)
+    return tuple(sorted(blocks, reverse=True))
 
 
 # -- naive graph matching ------------------------------------------------------

@@ -383,7 +383,7 @@ def test_restriction_action_matrix_matches_catalog():
 
 
 def test_restriction_action_matrix_unknown_system():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         oracles.restriction_action_matrix("heisenberg")
 
 
@@ -573,6 +573,13 @@ def test_jordan_rejects_bad_eigenvalue(capsys):
 
     code, _, _ = run(capsys, "oracle", "jordan", "--n", "0", "--lambda", "1")
     assert code == 3
+
+
+def test_jordan_cell_size_bound_exit_3(capsys):
+    code, out, err = run(capsys, "oracle", "jordan", "--n", "10001", "--lambda", "1")
+    assert code == 3
+    assert out == ""
+    assert err == "error: the Jordan cell needs n <= 10000, got 10001\n"
 
 
 def test_restrictions_consistent_systems(capsys, registry):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2cat import oracles
+from sl2cat.kernels import Echelon
 from sl2cat.modcat import catalog
 from sl2cat.oracles import (
     NamedOObject,
@@ -347,7 +348,7 @@ def test_dinf_assumed_restrictions_pin_the_branch_characters():
 def test_restriction_truncation_precondition():
     with pytest.raises(ValueError):
         restriction_consistency_solve("takiff", truncation=3)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         restriction_consistency_solve("heisenberg", truncation=10)
 
 
@@ -391,6 +392,32 @@ def test_jordan_against_dense_rank_route():
         for lam in (0, 2, Fraction(-3, 7)):
             got = list(jordan_kronecker_oracle(n, lam).blocks)
             assert got == jordan_partition_dense(n, lam), (n, lam)
+
+
+def test_jordan_sweep_against_rank_of_powers():
+    for n in range(1, 61):
+        for lam in (0, 2, Fraction(-3, 7)):
+            got = jordan_kronecker_oracle(n, lam).blocks
+            assert got == refimpl.jordan_partition_by_powers(n, lam), (n, lam)
+
+
+def test_jordan_sweep_adds_linearly_many_rows(monkeypatch):
+    # the rank-of-powers route eliminates 2n(n+1) rows
+    calls = []
+    add = Echelon.add
+
+    def counted(self, row):
+        calls.append(1)
+        return add(self, row)
+
+    monkeypatch.setattr(Echelon, "add", counted)
+    counts = {}
+    for n in (200, 400):
+        calls.clear()
+        jordan_kronecker_oracle(n, 1)
+        counts[n] = len(calls)
+    assert counts[400] <= 8 * 400
+    assert counts[400] <= 2.1 * counts[200]
 
 
 def test_jordan_partition_shape_at_scale():
