@@ -14,9 +14,10 @@ entries (the size on a finite index set).  add, mul and apply take one
 path on every index set: a sum adds the stored heads and writes each
 term's tail out only on the edges between its own head size and the larger
 one, and apply computes the rows below tail_start explicitly.  A product's
-tail is the product of the two tails' symbols; below the larger tail_start
-it sums over the stored rows and the tail rows past each head size, so a
-product under a shared huge head costs its band, not its head size.
+tail is the product of the two tails' symbols; its head stops where the
+left factor's tail rows meet only the right factor's tail (see mul), and
+there it sums over the stored rows and the tail rows past each head size,
+so a product under a shared huge head costs its band, not its head size.
 
 Vectors follow the same pattern with an eventually periodic-affine tail:
 past the head, entry i is a_r * (i // p) + b_r with r = i % p, one pair
@@ -363,6 +364,22 @@ class PresentedMatrix:
         )
 
     def mul(self, other: "PresentedMatrix") -> "PresentedMatrix":
+        """Exact product; its tail is the product of the two tails' symbols.
+
+        The head block stops at m = max(A.tail_start(), min(B.tail_start(),
+        B.head_size + A.band)) for self = A and other = B.  Take i, j >= m.
+        Row i of A is pure tail, so it meets only rows k >= i - A.band.  If
+        m >= B.head_size + A.band, then min(k, j) >= B.head_size and every
+        B(k, j) is B's tail; otherwise m >= B.tail_start() and column j of B
+        is pure tail.  Either way (AB)(i, j) is the tail product.  So a
+        product of banded matrices leaves its own Toeplitz tail only in a
+        corner set by the left factor's band, as in T(a)T(b) = T(ab) -
+        H(a)H(b~) (Boettcher and Silbermann, Introduction to Large Truncated
+        Toeplitz Matrices, 1999).  For F_1 of band 1 and heads of size h,
+        F_1 F_{i-1} stops at h + 1, not at max(A.tail_start(),
+        B.tail_start()) = h + i - 1; the normal form strips the same result
+        from either block.
+        """
         self._require_same_index(other)
         diags: dict[int, int] = {}
         for d1, v1 in self._diags.items():
@@ -370,11 +387,13 @@ class PresentedMatrix:
                 diags[d1 + d2] = diags.get(d1 + d2, 0) + v1 * v2
         if self.index.kind == "int":
             return PresentedMatrix(self.index, diagonals=diags)
-        m = max(self.tail_start(), other.tail_start())
+        m = max(self.tail_start(), min(other.tail_start(), other.head_size + self.band))
+        # below m, other's stored columns can reach rows past m + other.band
+        end = max(m + other.band, other.head_extent())
         # other's rows inside its head are read as stored; each row past it
         # that a row of the product reaches is listed once
         ohs, rows_b = other.head_size, other._rows
-        tail_b = {k: dict(other.row_entries(k)) for k in range(ohs, m + max(self.band, other.band))}
+        tail_b = {k: dict(other.row_entries(k)) for k in range(ohs, max(m + self.band, end))}
         hs, diags_a = self.head_size, self._diags
         tail_a = {i: {i + d: a for d, a in diags_a.items() if i + d >= hs}
                   for i in range(hs, m)} if diags_a else {}
@@ -385,8 +404,8 @@ class PresentedMatrix:
                     for j, b in (rows_b.get(k, {}) if k < ohs else tail_b[k]).items():
                         head[i, j] = head.get((i, j), 0) + a * b
         # rows i >= m of self are pure tail, so below the head block the
-        # product meets only other's rows m - self.band .. m + other.band - 1
-        for k in range(m - self.band, m + other.band) if diags_a else ():
+        # product meets only other's rows m - self.band .. end - 1
+        for k in range(m - self.band, end) if diags_a else ():
             for j, b in (rows_b.get(k, {}) if k < ohs else tail_b[k]).items():
                 if j < m:
                     for d, a in diags_a.items():

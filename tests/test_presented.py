@@ -134,19 +134,26 @@ def test_poly_eval_shifts_support():
     assert [r3.entry(3, j) for j in range(8)] == [1, 0, 1, 0, 1, 0, 1, 0]
 
 
-small_nat_matrices = st.builds(
-    lambda size, head, diags: PresentedMatrix(
-        NAT,
-        head_size=size,
-        head={k: v for k, v in head.items() if min(k) < size},
-        diagonals=diags,
-    ),
-    st.integers(0, 5),
-    st.dictionaries(
-        st.tuples(st.integers(0, 7), st.integers(0, 7)), st.integers(-3, 3), max_size=10
-    ),
-    st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=5),
-)
+def nat_matrices(max_size: int, max_coord: int, max_band: int):
+    """Matrices on N: head size, head coordinates and band up to the bounds."""
+    return st.builds(
+        lambda size, head, diags: PresentedMatrix(
+            NAT,
+            head_size=size,
+            head={k: v for k, v in head.items() if min(k) < size},
+            diagonals=diags,
+        ),
+        st.integers(0, max_size),
+        st.dictionaries(
+            st.tuples(st.integers(0, max_coord), st.integers(0, max_coord)),
+            st.integers(-3, 3),
+            max_size=10,
+        ),
+        st.dictionaries(st.integers(-max_band, max_band), st.integers(-3, 3), max_size=5),
+    )
+
+
+small_nat_matrices = nat_matrices(5, 7, 4)
 
 small_int_matrices = st.builds(
     lambda diags: PresentedMatrix(INT, diagonals=diags),
@@ -172,11 +179,30 @@ def crop(dense: list[list[int]], lo: int, n: int) -> list[list[int]]:
     return [row[lo:lo + n] for row in dense[lo:lo + n]]
 
 
-@settings(max_examples=200, deadline=None)
-@given(small_nat_matrices, small_nat_matrices)
-def test_mul_matches_dense_oracle(a, b):
+def with_a_far_entry(a, b, col, past, v):
+    """(a, b) with b given one entry in a head column, in a row past head_size + 8."""
+    size = max(b.head_size, 1)
+    head = {(i, j): x for i, j, x in b.head_entries()}
+    head[size + 8 + past, min(col, size - 1)] = v
+    return a, PresentedMatrix(NAT, size, head, b.diagonals())
+
+
+# a narrow left factor and a wide right one whose stored column reaches past
+# its band: the product's head stops below the right factor's tail_start
+narrow_times_far_reaching = st.builds(
+    with_a_far_entry, nat_matrices(3, 5, 2), nat_matrices(4, 6, 8),
+    st.integers(0, 3), st.integers(1, 6), st.sampled_from((-2, -1, 1, 2)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(small_nat_matrices, small_nat_matrices), narrow_times_far_reaching))
+def test_mul_matches_dense_oracle(pair):
+    a, b = pair
     prod = a.mul(b)
-    window = past_the_tail(prod)
+    # the true product's rows reach past_the_tail(b) + a.band, so a row that
+    # prod leaves out still shows
+    window = max(past_the_tail(prod), past_the_tail(b) + a.band)
     big = window + a.band + a.head_extent()  # wide enough for exact dense rows
     dense = refimpl.mat_mul(dense_window(a, big), dense_window(b, big))
     assert dense_window(prod, window) == crop(dense, 0, window)
@@ -287,6 +313,38 @@ def test_action_recurrence_matches_dense_oracle(f1, ks):
     fusion._CHAINS.pop(f1, None)
     for k in [8, 3, *ks]:
         assert_r_poly_of(fusion.action(f1, k), f1, k)
+
+
+NAT_CATALOG = [name for name in catalog_names() if catalog(name).f1.index == NAT]
+
+
+@pytest.mark.parametrize("name", NAT_CATALOG)
+def test_derivation_drops_at_most_one_edge_per_matrix(monkeypatch, name):
+    # a product's head stops where its tail takes over, so the normal form
+    # has almost nothing left to strip; a head block out to max(tail_start)
+    # would drop 46 edges from F_1 F_47 and over 1,100 on the chain to 48
+    dropped = []
+    normalize = PresentedMatrix._normalize
+
+    def counting(self):
+        before = self.head_size
+        normalize(self)
+        dropped.append(before - self.head_size)
+
+    monkeypatch.setattr(PresentedMatrix, "_normalize", counting)
+    f1 = catalog(name).f1
+    fusion._CHAINS.pop(f1, None)
+    fusion.action(f1, 48)
+    assert max(dropped) <= 1 and sum(dropped) <= 48, (max(dropped), sum(dropped))
+
+
+@pytest.mark.parametrize("name", NAT_CATALOG)
+def test_action_matches_horner_at_large_k(name):
+    # Horner multiplies with the big factor on the left, whose tail_start
+    # then bounds the head: a second route to the same F_k
+    f1 = catalog(name).f1
+    for k in (47, 48):
+        assert fusion.action(f1, k) == f1.poly_eval(r_poly(k)), k
 
 
 @settings(max_examples=100, deadline=None)
