@@ -24,6 +24,8 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__, modcat, oracles
@@ -50,7 +52,50 @@ class UsageError(Exception):
 
 
 def _print_json(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    """Print doc as ``json.dumps`` writes it with a two-space indent and
+    sorted keys, plus a newline.  With an indent, ``json.dumps`` takes its
+    pure-Python encoder, so this writes the same bytes directly.  Every key
+    must be a ``str``; any other key, and any leaf json cannot encode,
+    raises ``TypeError``."""
+    print(_json_text(doc, ""))
+
+
+def _json_text(obj, pad: str) -> str:
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)  # bool, None, float; anything else raises TypeError
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        body = sep.join(f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                        for k, v in sorted(obj.items()))
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if set(map(type, obj)) == {int}:
+        body = sep.join(map(int.__repr__, obj))
+    else:
+        body = _int_rows(obj, inner)
+        if body is None:
+            body = sep.join(_json_text(x, inner) for x in obj)
+    return f"[\n{inner}{body}\n{pad}]"
+
+
+def _int_rows(rows, pad: str) -> str | None:
+    """The items of a list of equal-length rows of exact ints, all through one
+    ``%d`` row template; None for any other list.  These rows (head entries
+    and dense windows) are almost all of the bytes of ``derive --json``."""
+    if not set(map(type, rows)) <= {list, tuple} or len(set(map(len, rows))) != 1:
+        return None
+    flat = tuple(chain.from_iterable(rows))
+    if set(map(type, flat)) != {int}:
+        return None  # empty rows, or a bool, float or other leaf in a row
+    inner = pad + "  "
+    row = f"[\n{inner}" + f",\n{inner}".join(["%d"] * len(rows[0])) + f"\n{pad}]"
+    return f",\n{pad}".join([row] * len(rows)) % flat
 
 
 def _load_json_file(path: str):
@@ -224,12 +269,17 @@ def _cmd_classify(args) -> int:
 # -- derive / transitive ---------------------------------------------------------------
 
 
+MAX_WINDOW = 1_000  # the dense window grows as N^2: 13 MB of JSON at the cap
+
+
 def _cmd_derive(args) -> int:
     m = _with_basis(_load_model(args.model), args.basis)
     if args.upto < 0:
         raise CliError("--upto must be >= 0")
     if args.window < 0:
         raise CliError("--window must be >= 0")
+    if args.window > MAX_WINDOW:
+        raise CliError(f"--window must be <= {MAX_WINDOW}, got {args.window}")
     actions = [(i, modcat.derive_action(m, i)) for i in range(args.upto + 1)]
 
     def window_of(mat: PresentedMatrix) -> list[list[int]] | None:

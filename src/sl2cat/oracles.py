@@ -406,7 +406,8 @@ class SlCharacter(PresentedVector):
         absolute = [(0, 0)] * period
         for r, (a, b) in enumerate(tails_t, start=len(head_t)):
             absolute[r % period] = (a, b - a * (r // period))
-        object.__setattr__(self, "index", _NAT)
+        super().__init__(_NAT, head_t, absolute)  # the key is the normal form
+        # keep the head and the period as given, which to_json prints back
         object.__setattr__(self, "head", head_t)
         object.__setattr__(self, "tails", tuple(absolute))
 

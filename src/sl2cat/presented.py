@@ -23,8 +23,9 @@ Vectors follow the same pattern with an eventually periodic-affine tail:
 past the head, entry i is a_r * (i // p) + b_r with r = i % p, one pair
 (a_r, b_r) per residue of the period p.  At p = 1 that is a * i + b; a
 Z-indexed vector is a single constant.  One normal form, the smallest
-period dividing p and then the shortest head, sits behind equality,
-hashing and is_zero; add writes both terms at the lcm of their periods.
+period dividing p and then the shortest head, is computed once at
+construction and sits behind equality, hashing and is_zero; add writes
+both terms at the lcm of their periods.
 
 Matrices are stored in a canonical normalized form: zero entries are
 dropped, the band is minimal, and the head is shrunk while its boundary
@@ -568,9 +569,13 @@ def _normal_form(index: IndexSet, head: tuple[int, ...], tails: tuple[tuple[int,
 
 
 class PresentedVector:
-    """Immutable integer vector: a head, then a_r * (i // p) + b_r, r = i % p, p = len(tails)."""
+    """Immutable integer vector: a head, then a_r * (i // p) + b_r, r = i % p, p = len(tails).
 
-    __slots__ = ("index", "head", "tails")
+    The constructor stores the normal form in ``_key``, which ``==``,
+    hashing and ``is_zero`` read.
+    """
+
+    __slots__ = ("index", "head", "tails", "_key")
 
     def __init__(
         self,
@@ -595,6 +600,7 @@ class PresentedVector:
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "head", head_t)
         object.__setattr__(self, "tails", tails_t)
+        object.__setattr__(self, "_key", (index, head_t, tails_t))
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -627,7 +633,7 @@ class PresentedVector:
         return PresentedVector(self.index, head, tails)
 
     def is_zero(self) -> bool:
-        head, tails = self._key()[1:]
+        _, head, tails = self._key
         return tails == ((0, 0),) and not any(head)
 
     def is_strictly_positive(self) -> bool:
@@ -663,14 +669,11 @@ class PresentedVector:
             raise PresentationError("vector tail must be an object")
         return PresentedVector(index, head, [(tail.get("a", 0), tail.get("b", 0))])
 
-    def _key(self):
-        return (self.index, *_normal_form(self.index, self.head, self.tails))
-
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, PresentedVector) and self._key() == other._key()
+        return isinstance(other, PresentedVector) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key)
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}({self.index!r}, head={list(self.head)}, "

@@ -15,7 +15,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from sl2cat import modcat, oracles
-from sl2cat.cli import main
+from sl2cat.cli import MAX_WINDOW, _print_json, main
 from sl2cat.dynkin import gcm_of
 from sl2cat.presented import PresentedMatrix
 
@@ -236,6 +236,15 @@ def test_derive_negative_window_exit_3(capsys):
     assert err == "error: --window must be >= 0\n"
 
 
+def test_derive_window_past_the_cap_exit_3(capsys, time_limit):
+    # the dense window grows as N^2: at the cap one matrix prints 13 MB of JSON
+    with time_limit(2.0):
+        code, out, err = run(capsys, "derive", "--model", "Ainf", "--upto", "0",
+                             "--window", str(MAX_WINDOW + 1), "--json")
+    assert (code, out) == (3, "")
+    assert err == "error: --window must be <= 1000, got 1001\n"
+
+
 def test_model_file_with_a_bool_finite_size_exit_3(capsys, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"index": {"finite": True}}))
@@ -282,6 +291,54 @@ def test_model_file_without_name_uses_the_file_stem(capsys, registry, tmp_path):
     assert code == 0
     validate(registry, "derivation", doc)
     assert (doc["model"], doc["basis"]) == ("swap", "projectives")
+
+
+# -- the JSON emitter ------------------------------------------------------------
+
+json_ints = st.one_of(st.integers(-5, 5), st.integers(-2**80, 2**80))
+json_texts = st.text(st.sampled_from('az"\\/\n\t\x00\x1f\x7f é∞😀'), max_size=6)
+row_items = st.one_of(json_ints, json_ints, json_ints, st.just(True))
+
+
+def int_rows(n):
+    row = st.lists(row_items, min_size=n, max_size=n)
+    return st.lists(st.one_of(row, row.map(tuple)), min_size=1, max_size=4)
+
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.floats(), json_ints, json_texts,
+              st.lists(row_items, max_size=4), st.integers(0, 3).flatmap(int_rows),
+              st.lists(st.lists(row_items, max_size=3), max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(json_texts, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_print_json_writes_the_bytes_of_the_indent_encoder(doc):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _print_json(doc)
+    assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_print_json_rejects_what_it_cannot_encode():
+    for doc in [{"a": [1, object()]}, {1: 2}, [{"a": 1}, {(1,): 2}]]:
+        with pytest.raises(TypeError):
+            _print_json(doc)
+
+
+def test_derive_json_never_takes_the_pure_python_encoder(capsys, monkeypatch):
+    # json.dumps with an indent builds its encoder here; the C encoder does not
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    code, out, err = run(capsys, "derive", "--model", "Dinf", "--upto", "8", "--json")
+    monkeypatch.undo()
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 # -- verify-catalog ----------------------------------------------------------------
@@ -853,7 +910,9 @@ def _argv(root, paths):
               st.sampled_from([[], ["--certificate"], ["--components"]]), json_flag),
         words(fixed("derive"), flag("--model", models), flag("--upto", num(-2, 6)),
               optional("--basis", st.sampled_from(["projectives", "simples"])),
-              optional("--window", num(-2, 6)), json_flag),
+              optional("--window", st.one_of(
+                  num(-2, 6), st.integers(MAX_WINDOW + 1, MAX_WINDOW + 3).map(str))),
+              json_flag),
         words(fixed("transitive"), flag("--model", models), json_flag),
         words(fixed("verify-catalog"), json_flag),
         words(fixed("obstruction"), flag("--model", models), flag("--depth", num(-1, 4)),

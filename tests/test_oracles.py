@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2cat import oracles
+from sl2cat import oracles, presented
 from sl2cat.kernels import Echelon
 from sl2cat.modcat import catalog
 from sl2cat.oracles import (
@@ -26,7 +26,7 @@ from sl2cat.oracles import (
     tensor_in_O,
     verma,
 )
-from sl2cat.presented import IndexSet, PresentedMatrix
+from sl2cat.presented import IndexSet, PresentedMatrix, PresentedVector
 
 import refimpl
 
@@ -211,6 +211,27 @@ def test_equal_characters_hash_alike():
     assert len({hash(c) for c in forms}) == 1
     assert len(set(forms)) == 1
     assert len({SlCharacter.tower(0, 2), SlCharacter((1, 0, 1), 2, ((0, 0), (0, 1)))}) == 1
+
+
+def test_equality_and_hashing_reuse_the_stored_normal_form(monkeypatch):
+    calls = []
+    normal_form = presented._normal_form
+
+    def counting(*args):
+        calls.append(args)
+        return normal_form(*args)
+
+    monkeypatch.setattr(presented, "_normal_form", counting)
+    nat = IndexSet.nat()
+    plain = PresentedVector(nat, (1, 0, 1), [(0, 1), (0, 0)])
+    kept = SlCharacter((1, 0, 1), 2, ((0, 0), (0, 1)))
+    other = SlCharacter.mod_class(1, 2)
+    assert calls
+    calls.clear()
+    assert plain == kept == SlCharacter.tower(0, 2) and kept != other
+    assert len({plain, kept, other, SlCharacter.tower(0, 2)}) == 2
+    assert not kept.is_zero()
+    assert calls == []
 
 
 def test_character_tensor_matches_brute_force():
