@@ -24,7 +24,7 @@ from . import oracles
 from .dynkin import INFINITE_FAMILIES, Classification, DynkinType, GCMError, classify, gcm_of
 from .fusion import action
 from .kernels import reachable
-from .obstruction import ObstructionReport, PreconditionFailed, solve_feasibility
+from .obstruction import MAX_DEPTH, ObstructionReport, PreconditionFailed, solve_feasibility
 from .presented import PresentedMatrix, PresentedVector
 
 __all__ = [
@@ -238,7 +238,7 @@ def semisimplicity_symmetry_check(m: ModuleCategoryModel) -> bool:
 
 
 def socle_top_feasibility(m: ModuleCategoryModel, depth: int, schur_dim: int = 1,
-                          node_budget: int = 100_000, max_depth: int = 12) -> ObstructionReport:
+                          node_budget: int = 100_000, max_depth: int = MAX_DEPTH) -> ObstructionReport:
     """Top/socle constraint solver; see obstruction.solve_feasibility."""
     if m.basis != "projectives":
         raise PreconditionFailed("feasibility solver expects the projectives basis")

@@ -25,18 +25,23 @@ after a variable it reads narrows, in the current sweep if it comes later
 in rule order and in the next sweep otherwise, so the events are those of
 repeated full sweeps in rule order.  Narrowings go on a trail, and the
 iterative depth-first search undoes a failed branch by popping the trail
-(as in MiniSat).  Depth is capped at 12 by default; the node budget
-(100,000 branches by default) turns an exhausted search into "unknown".
+and branches on the narrowest open key from a heap that the trail keeps
+current (both as in MiniSat).  Depth is capped at MAX_DEPTH = 32 by
+default; the node budget (100,000 branches by default) turns an exhausted
+search into "unknown".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .fusion import action, cg_support
 from .presented import PresentedMatrix
 
-__all__ = ["ObstructionReport", "PreconditionFailed", "solve_feasibility"]
+__all__ = ["MAX_DEPTH", "ObstructionReport", "PreconditionFailed", "solve_feasibility"]
+
+MAX_DEPTH = 32  # the default depth cap of the exhaustive search
 
 
 class PreconditionFailed(ValueError):
@@ -342,37 +347,57 @@ def _build_rules(comps: dict, depth: int, schur_dim: int, state: _State) -> list
     return rules
 
 
-def _branch_key(domains: dict) -> tuple | None:
-    """The open key of smallest width, first in dict order; None if all pinned."""
-    best, best_width = None, 0
-    for key, (lo, hi) in domains.items():
-        width = hi - lo
-        if width and (best is None or width < best_width):
-            if width == 1:  # no open key is narrower
-                return key
-            best, best_width = key, width
-    return best
+def _open_top(heap: list, domains: dict, keys: list) -> tuple | None:
+    """The open key of smallest width, first in dict order; None if all pinned.
+
+    Heap entries are (width, dict position); an entry whose width is no
+    longer its key's width is stale and is popped when it reaches the top.
+    """
+    while heap:
+        width, pos = heap[0]
+        lo, hi = domains[keys[pos]]
+        if hi - lo == width:
+            return keys[pos]
+        heappop(heap)
+    return None
 
 
 def _search(state: _State, rules: list, watch: dict, budget: int) -> bool:
     """Depth-first search from a fixpoint, leaving a solution in ``state``.
 
-    Frames are [key, next value, last value, trail mark].  False when
-    exhausted; TimeoutError when the ``budget``-th branch is reached.
+    Frames are [key, next value, last value, trail mark].  The branch key
+    comes from a heap of the open keys (MiniSat's decision heap, Een and
+    Sorensson 2003) that the trail keeps current: every key that a branch
+    narrows, or an undo widens again, is pushed with its new width.  False
+    when exhausted; TimeoutError when the ``budget``-th branch is reached.
     """
+    domains, trail = state.domains, state.trail
+    keys = list(domains)
+    position = {key: pos for pos, key in enumerate(keys)}
+    heap = [(hi - lo, pos) for pos, (lo, hi) in enumerate(domains.values()) if lo < hi]
+    heapify(heap)
+
+    def push(changed: list) -> None:
+        for key, _, _ in changed:
+            lo, hi = domains[key]
+            if lo < hi:
+                heappush(heap, (hi - lo, position[key]))
+
     stack: list[list] = []
     while True:
-        key = _branch_key(state.domains)
+        key = _open_top(heap, domains, keys)
         if key is None:
             return True
-        lo, hi = state.domains[key]
-        stack.append([key, lo, hi, len(state.trail)])
+        lo, hi = domains[key]
+        stack.append([key, lo, hi, len(trail)])
         while True:  # next value of the deepest frame that has one left
             if not stack:
                 return False
             frame = stack[-1]
             key, value, hi, mark = frame
+            undone = trail[mark:]
             state.undo(mark)
+            push(undone)
             if value > hi:
                 stack.pop()
                 continue
@@ -383,13 +408,14 @@ def _search(state: _State, rules: list, watch: dict, budget: int) -> bool:
             try:
                 state.narrow(key, value, value, {"constraint": "branch"})
                 _propagate(state, rules, watch, watch[key])
-                break
             except _Violation:
-                pass
+                continue
+            push(trail[mark:])
+            break
 
 
 def solve_feasibility(f1: PresentedMatrix, depth: int, schur_dim: int = 1,
-                      node_budget: int = 100_000, max_depth: int = 12) -> ObstructionReport:
+                      node_budget: int = 100_000, max_depth: int = MAX_DEPTH) -> ObstructionReport:
     """Run the constraint solver on a projectives-basis action matrix."""
     if depth < 1:
         raise ValueError("depth must be >= 1")

@@ -454,13 +454,23 @@ class PresentedMatrix:
     # -- windows and serialization ------------------------------------------
 
     def truncate(self, n: int) -> list[list[int]]:
-        """Dense n x n window: top-left corner for Finite/Nat, centered for Z."""
+        """Dense n x n window: top-left corner for Finite/Nat, centered for Z.
+
+        Each row is filled from its stored entries, so the window costs its
+        n^2 zeros plus the nonzero cells, not one entry() call per cell."""
         if n < 0:
             raise PresentationError("window size must be >= 0")
         if self.index.kind == "finite" and n > self.index.size:
             raise PresentationError("window larger than finite index")
         lo = -(n // 2) if self.index.kind == "int" else 0
-        return [[self.entry(lo + i, lo + j) for j in range(n)] for i in range(n)]
+        window = []
+        for i in range(lo, lo + n):
+            row = [0] * n
+            for j, v in self.row_entries(i):
+                if lo <= j < lo + n:
+                    row[j - lo] = v
+            window.append(row)
+        return window
 
     def to_json_dict(self) -> dict:
         return {

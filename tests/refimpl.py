@@ -246,3 +246,17 @@ def gcd_list(values: list[int]) -> int:
     for v in values:
         out = math.gcd(out, v)
     return out
+
+
+# -- solver branch choice --------------------------------------------------------
+
+
+def branch_key(domains: dict) -> tuple | None:
+    """The open key of smallest width, first in dict order, by a linear scan
+    of every [lo, hi] domain; None if all are pinned."""
+    best, best_width = None, 0
+    for key, (lo, hi) in domains.items():
+        width = hi - lo
+        if width and (best is None or width < best_width):
+            best, best_width = key, width
+    return best

@@ -483,17 +483,17 @@ def test_obstruction_bad_depth_exit_3(capsys):
 
 
 def test_obstruction_at_the_depth_cap(capsys):
-    code, out, err = run(capsys, "obstruction", "--model", "Cinf", "--depth", "12")
+    code, out, err = run(capsys, "obstruction", "--model", "Cinf", "--depth", "32")
     assert code == 0
     assert err == ""
-    assert out.splitlines()[0] == "SAT at depth 12 (schur dim 1)"
+    assert out.splitlines()[0] == "SAT at depth 32 (schur dim 1)"
 
 
 def test_obstruction_past_the_depth_cap_exit_3(capsys):
-    code, out, err = run(capsys, "obstruction", "--model", "Cinf", "--depth", "13")
+    code, out, err = run(capsys, "obstruction", "--model", "Cinf", "--depth", "33")
     assert code == 3
     assert out == ""
-    assert err == "error: depth 13 exceeds the exhaustive-search cap 12\n"
+    assert err == "error: depth 33 exceeds the exhaustive-search cap 32\n"
 
 
 @pytest.mark.parametrize("schur_dim", ["0", "-1"])
@@ -953,7 +953,7 @@ def test_every_argv_ends_in_an_exit_code(argv_files, data):
 
 def test_input_errors_exit_3_from_the_script(tmp_path):
     positive = write_matrix(tmp_path, "positive.json", [[2, 1], [1, 2]])
-    for argv in [("obstruction", "--model", "BinfDual", "--depth", "13"),
+    for argv in [("obstruction", "--model", "BinfDual", "--depth", "33"),
                  ("classify", "--gcm", positive)]:
         proc = subprocess.run([sys.executable, "-m", "sl2cat.cli", *argv],
                               capture_output=True, text=True)

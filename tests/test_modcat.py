@@ -270,8 +270,10 @@ def test_schur_dimension_below_one_is_rejected(schur_dim):
 
 
 def test_feasibility_depth_cap():
-    with pytest.raises(ValueError, match="depth 13 exceeds the exhaustive-search cap 12"):
-        socle_top_feasibility(catalog("Ainf"), 13)
+    with pytest.raises(ValueError, match="depth 33 exceeds the exhaustive-search cap 32"):
+        socle_top_feasibility(catalog("Ainf"), 33)
+    with pytest.raises(ValueError, match="depth 33 exceeds the exhaustive-search cap 32"):
+        solve_feasibility(catalog("Ainf").f1, 33)
     with pytest.raises(PreconditionFailed):
         socle_top_feasibility(to_simples_basis(catalog("Cinf")), 2)
 
@@ -503,6 +505,101 @@ def test_node_budget_counts_branches():
     assert report.status == "unknown"
     assert report.trace[-1] == {"constraint": "search", "status": "exhausted-budget",
                                 "identity": "node budget 173 reached"}
+
+
+@pytest.mark.parametrize("depth, branches", [(12, 1_140), (16, 2_548)])
+def test_cinf_node_budget_at_depths_12_and_16(depth, branches):
+    f1 = catalog("Cinf").f1
+    assert solve_feasibility(f1, depth, node_budget=branches).status == "unknown"
+    assert solve_feasibility(f1, depth, node_budget=branches + 1).status == "SAT"
+
+
+def _choices_checked_against_the_scan(monkeypatch) -> list:
+    """Check every branch choice against refimpl's linear scan; returns the
+    list that the choices are appended to."""
+    open_top, chosen = obstruction._open_top, []
+
+    def checked(heap, domains, keys):
+        key = open_top(heap, domains, keys)
+        assert key == refimpl.branch_key(domains)
+        chosen.append(key)
+        return key
+
+    monkeypatch.setattr(obstruction, "_open_top", checked)
+    return chosen
+
+
+def test_heap_branch_choice_matches_the_linear_scan(monkeypatch):
+    nodes = _choices_checked_against_the_scan(monkeypatch)
+    for name in catalog_names():
+        f1 = catalog(name).f1
+        for depth in range(1, 13):
+            solve_feasibility(f1, depth)
+    assert len(nodes) == 4_204  # search nodes plus one final read per SAT search
+
+
+@pytest.mark.parametrize("domains, narrowed, refuted, chosen", [
+    # x = 0 pins k, whose entry is popped as stale on the way to y; every y
+    # then fails, and the undo back to x reopens k, which must be pushed again
+    ({"x": [0, 1], "k": [0, 2], "y": [0, 2]}, ("k", 0), "y", ["x", "y", "k", "y", None]),
+    # x = 0 narrows k to width 1; every k then fails, and after the undo the
+    # width-1 entry of k is stale: j, the first width-2 key, comes next
+    ({"x": [0, 1], "j": [0, 2], "k": [0, 2]}, ("k", 1), "k", ["x", "k", "j", "k", None]),
+])
+def test_heap_choice_after_an_undo(monkeypatch, domains, narrowed, refuted, chosen):
+    def narrow(state):
+        if state.value("x") == 0:
+            state.narrow(narrowed[0], 0, narrowed[1], {"constraint": "narrow"})
+
+    def refute(state):
+        if state.value("x") == 0 and state.value(refuted) is not None:
+            raise obstruction._Violation({"constraint": "refute"})
+
+    narrow.keys, refute.keys = ("x",), ("x", refuted)
+    rules = [narrow, refute]
+    state = obstruction._State(domains, None)
+    watch = obstruction._watch_index(rules, state.domains)
+    seen = _choices_checked_against_the_scan(monkeypatch)
+    assert obstruction._search(state, rules, watch, 100)
+    assert seen == chosen
+    assert all(lo == hi for lo, hi in state.domains.values())
+
+
+def test_branch_choice_examines_heap_entries_in_proportion_to_the_trail(monkeypatch):
+    # a linear scan of the domains reads 6,420,346 keys over these 2,533 nodes
+    open_top, undo, narrow = (obstruction._open_top, obstruction._State.undo,
+                              obstruction._State.narrow)
+    search = obstruction._search
+    counts = dict.fromkeys(("examined", "branches", "undone", "pushed"), 0)
+
+    def counted_top(heap, domains, keys):
+        size = len(heap)
+        key = open_top(heap, domains, keys)
+        counts["examined"] += size - len(heap) + (key is not None)  # popped, then read
+        return key
+
+    def counted_undo(self, mark):
+        counts["undone"] += len(self.trail) - mark
+        undo(self, mark)
+
+    def counted_narrow(self, key, lo, hi, event):
+        counts["branches"] += event == {"constraint": "branch"}
+        narrow(self, key, lo, hi, event)
+
+    def counted_search(state, rules, watch, budget):
+        start = len(state.trail)
+        found = search(state, rules, watch, budget)
+        # every entry undone was pushed during the search
+        counts["pushed"] += len(state.trail) - start + counts["undone"]
+        return found
+
+    monkeypatch.setattr(obstruction, "_open_top", counted_top)
+    monkeypatch.setattr(obstruction._State, "undo", counted_undo)
+    monkeypatch.setattr(obstruction._State, "narrow", counted_narrow)
+    monkeypatch.setattr(obstruction, "_search", counted_search)
+    assert solve_feasibility(catalog("Cinf").f1, 16).status == "SAT"
+    assert counts["branches"] == 2_548
+    assert counts["examined"] <= counts["branches"] + counts["undone"] + counts["pushed"]
 
 
 def test_search_does_not_recurse_at_the_depth_cap():

@@ -507,6 +507,25 @@ def test_vector_json_round_trip():
     assert PresentedVector.from_json_dict(doc, NAT) == v
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_nat_matrices, small_int_matrices, small_finite_matrices), st.data())
+def test_truncate_matches_the_entrywise_window(m, data):
+    if m.index.kind == "finite":
+        n = data.draw(st.integers(0, m.index.size))
+    else:
+        n = data.draw(st.integers(0, past_the_tail(m) + 3))
+    lo = -(n // 2) if m.index.kind == "int" else 0
+    assert m.truncate(n) == dense_window(m, n, lo)
+
+
+def test_a_large_window_costs_its_cells_not_an_entry_call_each(time_limit):
+    f1 = catalog("Ainf").f1
+    with time_limit(1.0):
+        window = f1.truncate(2_000)
+    for i in (0, 1, 1_000, 1_999):
+        assert window[i] == [f1.entry(i, j) for j in range(2_000)]
+
+
 def test_int_truncation_is_centered():
     m = PresentedMatrix(INT, diagonals={-1: 2, 1: 3})
     window = m.truncate(4)
