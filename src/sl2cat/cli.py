@@ -270,12 +270,17 @@ def _cmd_classify(args) -> int:
 
 
 MAX_WINDOW = 1_000  # the dense window grows as N^2: 13 MB of JSON at the cap
+#: largest K of derive --upto: the head of F_i holds about i^2 entries, so the
+#: output grows as K^3; at the cap every catalog model answers in under 2 s
+MAX_UPTO = 100
 
 
 def _cmd_derive(args) -> int:
     m = _with_basis(_load_model(args.model), args.basis)
     if args.upto < 0:
         raise CliError("--upto must be >= 0")
+    if args.upto > MAX_UPTO:
+        raise CliError(f"--upto must be <= {MAX_UPTO}, got {args.upto}")
     if args.window < 0:
         raise CliError("--window must be >= 0")
     if args.window > MAX_WINDOW:

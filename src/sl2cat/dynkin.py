@@ -332,7 +332,11 @@ def _template_adjacency(dtype: DynkinType) -> PresentedMatrix:
 
 
 def template(dtype: DynkinType) -> PresentedMatrix:
-    """The canonical generalized Cartan matrix of a named type."""
+    """The canonical generalized Cartan matrix of a named type.
+
+    No verb reads it: classify matches adjacency templates directly.  It is
+    kept as the inverse of classify, the one way to build the GCM that a
+    DynkinType names."""
     return gcm_of(_template_adjacency(dtype))
 
 

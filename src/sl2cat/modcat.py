@@ -153,17 +153,17 @@ def action_graph(f1: PresentedMatrix, size: int | None = None) -> tuple[list[int
         size = f1.head_size + 2 * f1.band + 2
     lo = -(size // 2) if f1.index.kind == "int" else 0
     nodes = list(range(lo, lo + size))
-    dense = f1.truncate(size)
-    edges = [(nodes[i], nodes[j], dense[j][i])
-             for i in range(size) for j in range(size) if dense[j][i]]
+    edges = [(i, j, v) for i in nodes
+             for j, v in sorted(f1.col_entries(i)) if lo <= j < lo + size]
     return nodes, edges
 
 
-def _strongly_connected(dense: list[list[int]]) -> bool:
-    n = len(dense)
-    forward = reachable(0, lambda v: (w for w in range(n) if dense[w][v]))
-    backward = reachable(0, lambda v: (w for w in range(n) if dense[v][w]))
-    return n > 0 and len(forward) == n and len(backward) == n
+def _strongly_connected(f1: PresentedMatrix, n: int) -> bool:
+    """Strong connectivity of the action digraph on objects 0..n-1."""
+    def inside(entries):
+        return (w for w, _ in entries if w < n)
+    return (n > 0 and len(reachable(0, lambda v: inside(f1.col_entries(v)))) == n
+            and len(reachable(0, lambda v: inside(f1.row_entries(v)))) == n)
 
 
 def is_transitive(m: ModuleCategoryModel) -> Transitivity:
@@ -177,7 +177,7 @@ def is_transitive(m: ModuleCategoryModel) -> Transitivity:
     """
     f1 = m.f1
     if f1.index.kind == "finite":
-        ok = _strongly_connected(f1.truncate(f1.index.size))
+        ok = _strongly_connected(f1, f1.index.size)
         return Transitivity.YES if ok else Transitivity.NO
     up = any(d < 0 and v != 0 for d, v in f1.diagonals().items())
     down = any(d > 0 and v != 0 for d, v in f1.diagonals().items())
@@ -191,7 +191,7 @@ def is_transitive(m: ModuleCategoryModel) -> Transitivity:
                 g = gcd(g, abs(d))
         return Transitivity.YES if g == 1 else Transitivity.NO
     window = f1.tail_start() + f1.band
-    if _strongly_connected(f1.truncate(window)):
+    if _strongly_connected(f1, window):
         return Transitivity.YES
     return Transitivity.UNKNOWN
 

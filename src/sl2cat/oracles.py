@@ -76,32 +76,6 @@ class OClassVector:
     def items(self):
         return self._entries.items()
 
-    def coefficient(self, w: int) -> int:
-        return self._entries.get(w, 0)
-
-    def add(self, other: "OClassVector") -> "OClassVector":
-        if self.coset != other.coset:
-            raise ValueError("cannot mix integral and coset classes")
-        out = dict(self._entries)
-        for w, c in other._entries.items():
-            out[w] = out.get(w, 0) + c
-        return OClassVector(out, self.coset)
-
-    def scale(self, c: int) -> "OClassVector":
-        return OClassVector({w: c * v for w, v in self._entries.items()}, self.coset)
-
-    def _key(self):
-        return (self.coset, tuple(sorted(self._entries.items())))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, OClassVector) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"OClassVector({dict(sorted(self._entries.items()))}, coset={self.coset})"
-
 
 def verma(weight: int, coset: bool = False) -> OClassVector:
     return OClassVector({weight: 1}, coset)

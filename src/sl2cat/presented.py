@@ -297,10 +297,6 @@ class PresentedMatrix:
         return PresentedMatrix(index, diagonals={0: c})
 
     @staticmethod
-    def identity(index: IndexSet) -> "PresentedMatrix":
-        return PresentedMatrix.scaled_identity(index, 1)
-
-    @staticmethod
     def from_dense(rows: list[list[int]]) -> "PresentedMatrix":
         n = len(rows)
         if any(len(r) != n for r in rows):

@@ -15,7 +15,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from sl2cat import modcat, oracles
-from sl2cat.cli import MAX_WINDOW, _print_json, main
+from sl2cat.cli import MAX_UPTO, MAX_WINDOW, _print_json, main
 from sl2cat.dynkin import gcm_of
 from sl2cat.presented import PresentedMatrix
 
@@ -243,6 +243,19 @@ def test_derive_window_past_the_cap_exit_3(capsys, time_limit):
                              "--window", str(MAX_WINDOW + 1), "--json")
     assert (code, out) == (3, "")
     assert err == "error: --window must be <= 1000, got 1001\n"
+
+
+def test_derive_upto_at_and_past_the_cap(capsys, time_limit):
+    # the output grows as K^3: the cap bounds a call on a catalog model to about 2 s
+    with time_limit(10.0):
+        code, out, err = run(capsys, "derive", "--model", "Ainf", "--upto", str(MAX_UPTO))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].startswith(f"F_{MAX_UPTO}: ")
+    with time_limit(2.0):
+        code, out, err = run(capsys, "derive", "--model", "Dinf", "--upto", str(MAX_UPTO + 1),
+                             "--json")
+    assert (code, out) == (3, "")
+    assert err == "error: --upto must be <= 100, got 101\n"
 
 
 def test_model_file_with_a_bool_finite_size_exit_3(capsys, tmp_path):
@@ -785,6 +798,26 @@ def test_render_negative_size_exit_3(capsys):
     assert err == "error: --size must be >= 0\n"
 
 
+def test_render_and_transitive_read_a_large_window_in_linear_time(capsys, tmp_path, time_limit):
+    # both read their window through the row and column maps, not a dense n x n truncation
+    with time_limit(4.0):
+        code, out, err = run(capsys, "render", "--model", "Dinf", "--dot", "-", "--size", "100000")
+    assert (code, err) == (0, "")
+    assert out.count(" [label=\"") == 100_000
+    assert 'v99999 [label="99999"];' in out
+    assert "  v99998 -> v99999 [label=1];\n  v99999 -> v99998 [label=1];\n}\n" in out
+    path = tmp_path / "long_head.json"
+    path.write_text(json.dumps({"index": "nat",
+                                "head": {"size": 100_000, "entries": [[0, 1, 1], [1, 0, 1]]},
+                                "tail": {"band": 1, "diagonals": {"-1": 1, "1": 1}}}))
+    with time_limit(4.0):
+        assert run(capsys, "transitive", "--model", str(path)) == (0, "transitive: unknown\n", "")
+        code, out, err = run(capsys, "render", "--model", str(path), "--dot", "-")
+    assert (code, err) == (0, "")
+    assert out.count(" [label=\"") == 100_004
+    assert out.count(" -> ") == 2 + 2 * 3
+
+
 # -- predict -------------------------------------------------------------------------------
 
 
@@ -908,7 +941,8 @@ def _argv(root, paths):
     return st.one_of(
         words(fixed("classify"), flag("--gcm", files),
               st.sampled_from([[], ["--certificate"], ["--components"]]), json_flag),
-        words(fixed("derive"), flag("--model", models), flag("--upto", num(-2, 6)),
+        words(fixed("derive"), flag("--model", models), flag("--upto", st.one_of(
+                  num(-2, 6), st.integers(MAX_UPTO + 1, MAX_UPTO + 3).map(str))),
               optional("--basis", st.sampled_from(["projectives", "simples"])),
               optional("--window", st.one_of(
                   num(-2, 6), st.integers(MAX_WINDOW + 1, MAX_WINDOW + 3).map(str))),
@@ -927,7 +961,8 @@ def _argv(root, paths):
               optional("--truncation", num(-1, 12)),
               st.sampled_from([[], ["--assume-restrictions"]]), json_flag),
         words(fixed("render"), st.one_of(flag("--model", models), flag("--gcm", files)),
-              flag("--dot", dots), optional("--size", num(-1, 8))),
+              flag("--dot", dots),
+              optional("--size", st.one_of(num(-1, 8), st.integers(9, 100_000).map(str)))),
         words(fixed("predict"), flag("--theorem", st.sampled_from(["10.1", "10.2", "9"])),
               optional("--case", st.sampled_from("abcez")),
               optional("--weight-class", st.sampled_from([*modcat.WEIGHT_CLASSES, "bogus"])),

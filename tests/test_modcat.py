@@ -4,16 +4,18 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from sl2cat import modcat, obstruction
 from sl2cat.dynkin import find_positive_null_vector, gcm_of
 from sl2cat.fusion import r_poly
+from sl2cat.kernels import reachable
 from sl2cat.modcat import (
     ModuleCategoryModel,
     PreconditionFailed,
     Transitivity,
+    action_graph,
     catalog,
     catalog_names,
     check_categorifiability,
@@ -78,6 +80,48 @@ def test_model_from_json_defaults_for_omitted_fields():
     assert m == ModuleCategoryModel("x", "simples", f1, "")
 
 
+MATRIX_WORDS = ["index", "head", "tail", "size", "entries", "band", "diagonals", "finite",
+                "nat", "int", "f1", "basis", "name", "provenance", "projectives", "simples",
+                "0", "1", "-1", "+1", "01", "-0"]
+json_ints = st.one_of(st.integers(-3, 12), st.integers(),
+                      st.sampled_from([10**5, 10**9, 10**12, -10**9, 2**63]))
+json_keys = st.one_of(st.sampled_from(MATRIX_WORDS), st.text(max_size=6))
+json_leaves = st.one_of(st.none(), st.booleans(), json_ints, st.floats(), json_keys)
+json_docs = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.dictionaries(json_keys, inner, max_size=5)),
+    max_leaves=30)
+# near-valid matrix documents, so that the fuzzer reaches past the first field check
+matrix_docs = st.fixed_dictionaries(
+    {"index": st.one_of(st.sampled_from(["nat", "int"]), st.fixed_dictionaries({"finite": json_ints}),
+                        json_docs)},
+    optional={
+        "head": st.one_of(json_docs, st.fixed_dictionaries({}, optional={
+            "size": json_ints,
+            "entries": st.lists(st.one_of(st.lists(json_ints, min_size=3, max_size=3), json_docs),
+                                max_size=6)})),
+        "tail": st.one_of(json_docs, st.fixed_dictionaries({}, optional={
+            "band": json_ints,
+            "diagonals": st.dictionaries(json_keys, st.one_of(json_ints, json_docs), max_size=4)})),
+    })
+model_docs = st.fixed_dictionaries({"f1": st.one_of(matrix_docs, json_docs)}, optional={
+    "name": json_docs, "basis": st.one_of(st.sampled_from(["projectives", "simples"]), json_docs),
+    "provenance": json_docs})
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(json_docs, matrix_docs, model_docs))
+def test_arbitrary_json_is_read_or_raises_a_value_error(time_limit, doc):
+    for read in (PresentedMatrix.from_json_dict, ModuleCategoryModel.from_json):
+        with time_limit(2.0):
+            try:
+                read(doc)
+            except ValueError:
+                pass
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("name", 5, "model name must be a string"),
     ("provenance", 7, "model provenance must be a string"),
@@ -105,7 +149,7 @@ def test_derive_action_frozen_examples():
     ainf = catalog("Ainf")
     r2 = derive_action(ainf, 2)
     assert [r2.entry(0, k) for k in range(5)] == [0, 0, 1, 0, 0]
-    assert derive_action(ainf, 0) == PresentedMatrix.identity(ainf.f1.index)
+    assert derive_action(ainf, 0) == PresentedMatrix.scaled_identity(ainf.f1.index)
     cinf = catalog("Cinf")
     assert derive_action(cinf, 2).entry(0, 0) == 1
 
@@ -126,7 +170,7 @@ def test_derived_actions_satisfy_clebsch_gordan_products():
 def test_poly_eval_matches_recurrence_on_catalog():
     for name in catalog_names():
         f1 = catalog(name).f1
-        prev2, prev1 = PresentedMatrix.identity(f1.index), f1
+        prev2, prev1 = PresentedMatrix.scaled_identity(f1.index), f1
         for i in range(2, 9):
             cur = f1.mul(prev1).add(prev2.scale(-1))
             assert cur == f1.poly_eval(r_poly(i)), (name, i)
@@ -176,6 +220,37 @@ def test_transitivity_of_catalog_and_counterexamples():
     even = ModuleCategoryModel(
         "even", "projectives", PresentedMatrix(IndexSet.int_(), diagonals={-2: 1, 2: 1}))
     assert is_transitive(even) is Transitivity.NO
+
+
+small_matrices = st.one_of(
+    st.builds(
+        lambda size, head, diags: PresentedMatrix(
+            IndexSet.nat(), size, {k: v for k, v in head.items() if min(k) < size}, diags),
+        st.integers(0, 4),
+        st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), st.integers(0, 2),
+                        max_size=8),
+        st.dictionaries(st.integers(-3, 3), st.integers(0, 2), max_size=4)),
+    st.dictionaries(st.integers(-3, 3), st.integers(0, 2), max_size=4).map(
+        lambda diags: PresentedMatrix(IndexSet.int_(), diagonals=diags)),
+    st.integers(0, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                           min_size=n, max_size=n)).map(PresentedMatrix.from_dense),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices, st.one_of(st.none(), st.integers(0, 9)))
+def test_action_graph_and_connectivity_match_the_dense_window(f1, size):
+    nodes, edges = action_graph(f1, size)
+    n = len(nodes)
+    dense = f1.truncate(n)
+    assert edges == [(nodes[i], nodes[j], dense[j][i])
+                     for i in range(n) for j in range(n) if dense[j][i]]
+    if f1.index.kind != "int":
+        forward = reachable(0, lambda v: (w for w in range(n) if dense[w][v]))
+        backward = reachable(0, lambda v: (w for w in range(n) if dense[v][w]))
+        expected = n > 0 and len(forward) == n and len(backward) == n
+        assert modcat._strongly_connected(f1, n) == expected
 
 
 def test_classify_type_catalog():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -43,17 +44,18 @@ def P(w):
 
 
 def test_tensor_in_o_basic_shifts():
-    assert tensor_in_O(1, verma(-1)) == OClassVector({0: 1, -2: 1})
+    assert tensor_in_O(1, verma(-1)).entries() == {0: 1, -2: 1}
     v = OClassVector({-2: 1, 0: 1, 3: 2})
-    assert tensor_in_O(0, v) == v
-    assert tensor_in_O(1, OClassVector({-2: 1, 0: 1})) == OClassVector({-3: 1, -1: 2, 1: 1})
+    assert tensor_in_O(0, v).entries() == v.entries()
+    assert tensor_in_O(1, OClassVector({-2: 1, 0: 1})).entries() == {-3: 1, -1: 2, 1: 1}
+    assert not tensor_in_O(1, v).coset
 
 
 def test_tensor_in_o_preserves_coset_flag():
     v = verma(0, coset=True)
     out = tensor_in_O(2, v)
     assert out.coset
-    assert out == OClassVector({-2: 1, 0: 1, 2: 1}, coset=True)
+    assert out.entries() == {-2: 1, 0: 1, 2: 1}
 
 
 @settings(max_examples=30, deadline=None)
@@ -63,10 +65,10 @@ def test_tensor_in_o_fusion_compatibility(entries):
     for m in range(5):
         for n in range(5):
             nested = tensor_in_O(m, tensor_in_O(n, v))
-            flat = OClassVector({})
+            flat = Counter()
             for k in range(abs(m - n), m + n + 1, 2):
-                flat = flat.add(tensor_in_O(k, v))
-            assert nested == flat, (m, n)
+                flat.update(tensor_in_O(k, v).entries())
+            assert nested.entries() == {w: c for w, c in flat.items() if c}, (m, n)
 
 
 def test_named_object_validation():
@@ -85,10 +87,11 @@ def test_named_object_validation():
 
 
 def test_class_of_identities():
-    assert class_of(L(-1)) == verma(-1)
-    assert class_of(L(-4)) == verma(-4)
-    assert class_of(P(-2)) == OClassVector({-2: 1, 0: 1})
-    assert class_of(P(-5)) == OClassVector({-5: 1, 3: 1})
+    assert class_of(L(-1)).entries() == {-1: 1}
+    assert class_of(L(-4)).entries() == verma(-4).entries() == {-4: 1}
+    assert class_of(P(-2)).entries() == {-2: 1, 0: 1}
+    assert class_of(P(-5)).entries() == {-5: 1, 3: 1}
+    assert not any(class_of(obj).coset for obj in (L(-1), P(-2)))
 
 
 def test_decompose_frozen_lines():
@@ -128,10 +131,10 @@ def test_decompose_rejects_classes_outside_catalog():
 )
 def test_decompose_round_trip(parts):
     objs = {NamedOObject(kind, w): c for (kind, w), c in parts.items()}
-    total = OClassVector({})
+    total = Counter()
     for obj, c in objs.items():
-        total = total.add(class_of(obj).scale(c))
-    assert decompose_in_N(total) == objs
+        total.update({w: c * v for w, v in class_of(obj).items()})
+    assert decompose_in_N(OClassVector(total)) == objs
 
 
 # -- Borel-module rules --------------------------------------------------------
