@@ -273,6 +273,7 @@ MAX_WINDOW = 1_000  # the dense window grows as N^2: 13 MB of JSON at the cap
 #: largest K of derive --upto: the head of F_i holds about i^2 entries, so the
 #: output grows as K^3; at the cap every catalog model answers in under 2 s
 MAX_UPTO = 100
+MAX_SIZE = 100_000  # render --size: about 85 bytes of DOT a node, 8.5 MB at the cap
 
 
 def _cmd_derive(args) -> int:
@@ -496,6 +497,8 @@ def _to_dot(name: str, nodes: list[int], edges: list[tuple[int, int, int]]) -> s
 def _cmd_render(args) -> int:
     if args.size is not None and args.size < 0:
         raise CliError("--size must be >= 0")
+    if args.size is not None and args.size > MAX_SIZE:
+        raise CliError(f"--size must be <= {MAX_SIZE}, got {args.size}")
     if args.model is not None:
         m = _load_model(args.model)
         name = m.name

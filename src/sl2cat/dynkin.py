@@ -536,7 +536,7 @@ def _infinite_connected(adjacency: PresentedMatrix) -> bool:
     Every vertex past the head descends into the window along a negative
     tail offset (support is symmetric), so the diagram is connected once
     all window vertices sit in one component.  Edges may detour through
-    vertices slightly above the window, hence the widened truncation.
+    vertices slightly above the window, hence the widened limit.
     A False answer means the certificate could not be produced.
     """
     offdiag = [d for d, v in adjacency.diagonals().items() if d != 0 and v != 0]
@@ -546,7 +546,7 @@ def _infinite_connected(adjacency: PresentedMatrix) -> bool:
         # steps generate the subgroup gcd(offsets)*Z
         return gcd(*(abs(d) for d in offdiag)) == 1
     window = adjacency.tail_start() + adjacency.band
-    seen = reachable(0, undirected(adjacency.truncate(window + 2 * adjacency.band)))
+    seen = reachable(0, undirected(adjacency, window + 2 * adjacency.band))
     return all(v in seen for v in range(window))
 
 
@@ -576,7 +576,7 @@ def _unrecognized(reason: str) -> Classification:
 def _classify_finite(gcm: PresentedMatrix, adjacency: PresentedMatrix) -> Classification:
     n = gcm.index.size
     dense = adjacency.truncate(n)
-    if n == 0 or len(reachable(0, undirected(dense))) != n:
+    if n == 0 or len(reachable(0, undirected(adjacency, n))) != n:
         return _unrecognized("diagram is not connected")
     minors = leading_minors(dict(enumerate(row)) for row in gcm.truncate(n))
     if all(m > 0 for m in minors):
@@ -630,7 +630,7 @@ def classify_components(gcm: PresentedMatrix) -> list[tuple[list[int], Classific
     if gcm.index.kind != "finite":
         raise GCMError("componentwise classification needs a finite matrix")
     dense = gcm.truncate(gcm.index.size)
-    neighbours = undirected(dense)
+    neighbours = undirected(gcm, len(dense))
     out: list[tuple[list[int], Classification]] = []
     seen: set[int] = set()
     for start in range(len(dense)):

@@ -18,8 +18,10 @@ to the ultraspherical polynomial R_i (r_poly) given by the recurrence
 The same recurrence, L(1) (x) L(i-1) = L(i) (+) L(i-2), derives the action
 of L(i) on a module category from that of L(1): action(F_1, i) returns
 F_i = F_1 F_{i-1} - F_{i-2}, seeded with R_0(F_1) and R_1(F_1) by
-poly_eval.  Each F_1 keeps one chain [F_0, F_1, ...] in a bounded LRU, so
-the first k matrices cost k products, and asking again costs none.
+poly_eval.  Each step is one fused product, F_1.mul(F_{i-1}, F_{i-2}),
+that builds one matrix.  Each F_1 keeps one chain [F_0, F_1, ...] in a
+bounded LRU, so the first k matrices cost k products, and asking again
+costs none.
 
 All coefficients are arbitrary precision integers; no floating point is
 used anywhere.
@@ -94,5 +96,5 @@ def action(f1: PresentedMatrix, i: int) -> PresentedMatrix:
     if len(_CHAINS) > _CHAIN_LIMIT:
         _CHAINS.popitem(last=False)
     while len(chain) <= i:
-        chain.append(f1.mul(chain[-1]).add(chain[-2].scale(-1)))
+        chain.append(f1.mul(chain[-1], chain[-2]))
     return chain[i]

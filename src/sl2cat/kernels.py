@@ -117,7 +117,7 @@ def reachable(start: int, neighbours: Callable[[int], Iterable[int]]) -> set[int
     return seen
 
 
-def undirected(dense: list[list[int]]) -> Callable[[int], Iterable[int]]:
-    """Neighbours in the undirected graph underlying a dense adjacency matrix."""
-    n = len(dense)
-    return lambda v: (w for w in range(n) if dense[v][w] or dense[w][v])
+def undirected(matrix, limit: int) -> Callable[[int], Iterable[int]]:
+    """Neighbours below limit in the undirected graph of a matrix's row and column maps."""
+    return lambda v: (w for entries in (matrix.row_entries(v), matrix.col_entries(v))
+                      for w, _ in entries if w < limit)

@@ -18,6 +18,8 @@ tail is the product of the two tails' symbols; its head stops where the
 left factor's tail rows meet only the right factor's tail (see mul), and
 there it sums over the stored rows and the tail rows past each head size,
 so a product under a shared huge head costs its band, not its head size.
+mul(B, C) gives A·B − C in that one pass.  Sums, products and __init__
+all hand a row map {i: {j: v}} to one builder, which checks and stores it.
 
 Vectors follow the same pattern with an eventually periodic-affine tail:
 past the head, entry i is a_r * (i // p) + b_r with r = i % p, one pair
@@ -120,6 +122,11 @@ class IndexSet:
         raise PresentationError(f"bad index description {data!r}")
 
 
+#: Caps on a matrix document's band and normalized head size (the size on a
+#: finite index set); README.md gives what the verbs cost at each.
+MAX_BAND = 4
+MAX_HEAD = 100_000
+
 #: A diagonal offset as a JSON key, the pattern matrix.schema.json gives.
 _OFFSET_RE = re.compile(r"-?[0-9]+")
 
@@ -142,17 +149,30 @@ class PresentedMatrix:
         head: Mapping[tuple[int, int], int] | Iterable[tuple[int, int, int]] = (),
         diagonals: Mapping[int, int] | None = None,
     ):
+        rows: dict[int, dict[int, int]] = {}
         if isinstance(head, Mapping):
-            entries = head
+            # coordinates are checked before keying the row map: 1.0 would join row 1
+            for (i, j), v in head.items():
+                if v != 0:
+                    if type(i) is not int or type(j) is not int:
+                        _as_int(i)
+                        _as_int(j)
+                    rows.setdefault(i, {})[j] = v
         else:
-            entries = {}
             for i, j, v in head:
-                key = (_as_int(i), _as_int(j))
-                if key in entries:
-                    raise PresentationError(f"duplicate head entry at {key}")
-                entries[key] = v
+                row = rows.setdefault(_as_int(i), {})
+                if _as_int(j) in row:
+                    raise PresentationError(f"duplicate head entry at {(i, j)}")
+                row[j] = v
         diagonals = {_as_int(d): _as_int(v) for d, v in dict(diagonals or {}).items() if v != 0}
+        self._build(index, head_size, rows, diagonals, into=self)
 
+    @staticmethod
+    def _build(index: IndexSet, head_size: int, rows: Mapping, diagonals: Mapping, into=None):
+        """The one checking loop, behind __init__ and every sum, scale and product: a
+        row map {i: {j: v}} without its zeros, each entry an integer in the head region."""
+        self = object.__new__(PresentedMatrix) if into is None else into
+        diagonals = {d: v for d, v in diagonals.items() if v != 0}
         finite = index.kind == "finite"
         if finite:
             n = index.size
@@ -160,43 +180,39 @@ class PresentedMatrix:
                 raise PresentationError("finite matrices have no Toeplitz tail")
             head_size = n
         elif index.kind == "int":
-            if head_size != 0 or any(v != 0 for v in entries.values()):
+            if head_size != 0 or any(v != 0 for row in rows.values() for v in row.values()):
                 raise PresentationError("Z-indexed matrices must be pure Toeplitz")
         elif head_size < 0:
             raise PresentationError("head_size must be >= 0")
 
-        # rows[i][j] = cols[j][i] = entry (i, j); every coordinate of every entry is checked
-        rows: dict[int, dict[int, int]] = {}
+        # kept[i][j] = cols[j][i] = entry (i, j)
+        kept: dict[int, dict[int, int]] = {}
         cols: dict[int, dict[int, int]] = {}
-        for (i, j), v in entries.items():
-            if v == 0:
-                continue
-            if type(i) is not int or type(j) is not int:
-                _as_int(i)
-                _as_int(j)
-            if i not in rows:
-                rows[i] = {}
-            if j not in cols:
-                cols[j] = {}
-            if finite:
-                if not (0 <= i < n and 0 <= j < n):
-                    raise PresentationError(f"entry ({i},{j}) outside finite index 0..{n - 1}")
-            elif i < 0 or j < 0:
-                raise PresentationError(f"entry ({i},{j}) outside natural index")
-            elif i >= head_size and j >= head_size:
-                raise PresentationError(
-                    f"entry ({i},{j}) outside declared head region (head_size={head_size})"
-                )
-            rows[i][j] = cols[j][i] = v if type(v) is int else _as_int(v)
+        for i, row in rows.items():
+            out = {}
+            for j, v in row.items():
+                if v == 0:
+                    continue
+                if finite:
+                    if not (0 <= i < n and 0 <= j < n):
+                        raise PresentationError(f"entry ({i},{j}) outside finite index 0..{n - 1}")
+                elif i < 0 or j < 0:
+                    raise PresentationError(f"entry ({i},{j}) outside natural index")
+                elif i >= head_size and j >= head_size:
+                    raise PresentationError(f"entry ({i},{j}) outside declared head region "
+                                            f"(head_size={head_size})")
+                if j not in cols:
+                    cols[j] = {}
+                out[j] = cols[j][i] = v if type(v) is int else _as_int(v)
+            if out:
+                kept[i] = out
 
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "head_size", head_size)
-        object.__setattr__(self, "band", max((abs(d) for d in diagonals), default=0))
-        object.__setattr__(self, "_diags", diagonals)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_cols", cols)
+        band = max((abs(d) for d in diagonals), default=0)
+        for name, value in zip(self.__slots__, (index, head_size, band, diagonals, kept, cols)):
+            object.__setattr__(self, name, value)
         if index.kind == "nat":
             self._normalize()
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("PresentedMatrix is immutable")
@@ -290,8 +306,6 @@ class PresentedMatrix:
 
     @staticmethod
     def scaled_identity(index: IndexSet, c: int = 1) -> "PresentedMatrix":
-        if c == 0:
-            return PresentedMatrix(index)
         if index.kind == "finite":
             return PresentedMatrix(index, head={(i, i): c for i in range(index.size)})
         return PresentedMatrix(index, diagonals={0: c})
@@ -301,8 +315,8 @@ class PresentedMatrix:
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise PresentationError("dense matrix must be square")
-        head = {(i, j): v for i, r in enumerate(rows) for j, v in enumerate(r) if v != 0}
-        return PresentedMatrix(IndexSet.finite(n), head=head)
+        return PresentedMatrix._build(IndexSet.finite(n), n,
+                                      {i: dict(enumerate(r)) for i, r in enumerate(rows)}, {})
 
     # -- structure tests --------------------------------------------------
 
@@ -319,49 +333,33 @@ class PresentedMatrix:
         return self.transpose() == self
 
     def transpose(self) -> "PresentedMatrix":
-        return PresentedMatrix(
-            self.index,
-            self.head_size,
-            {(j, i): v for (i, j), v in self._items()},
-            {-d: v for d, v in self._diags.items()},
-        )
+        return self._build(self.index, self.head_size, self._cols,
+                           {-d: v for d, v in self._diags.items()})
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _require_same_index(self, other: "PresentedMatrix") -> None:
-        if self.index != other.index:
+    def _require_same_index(self, *others: "PresentedMatrix | None") -> None:
+        if any(other is not None and other.index != self.index for other in others):
             raise PresentationError("index sets differ")
 
     def add(self, other: "PresentedMatrix") -> "PresentedMatrix":
         self._require_same_index(other)
-        diags: dict[int, int] = dict(self._diags)
-        for d, v in other._diags.items():
-            diags[d] = diags.get(d, 0) + v
         n = max(self.head_size, other.head_size)
-        head = dict(self._items())
-        for k, v in other._items():
-            head[k] = head.get(k, 0) + v
-        # a term's tail fills the edges min(i, j) = e from its own head size
-        # up to the sum's, one entry per diagonal
+        rows, diags = {}, {}
         for term in (self, other):
-            for e in range(term.head_size, n):
-                for d, v in term._diags.items():
-                    k = (e, e + d) if d >= 0 else (e - d, e)
-                    head[k] = head.get(k, 0) + v
-        return PresentedMatrix(self.index, n, head, diags)
+            _accumulate(rows, term, n)
+            for d, v in term._diags.items():
+                diags[d] = diags.get(d, 0) + v
+        return self._build(self.index, n, rows, diags)
 
     def scale(self, c: int) -> "PresentedMatrix":
-        if c == 0:
-            return PresentedMatrix(self.index)
-        return PresentedMatrix(
-            self.index,
-            self.head_size,
-            {k: c * v for k, v in self._items()},
-            {d: c * v for d, v in self._diags.items()},
-        )
+        rows = {i: {j: c * v for j, v in row.items()} for i, row in self._rows.items()}
+        return self._build(self.index, self.head_size, rows,
+                           {d: c * v for d, v in self._diags.items()})
 
-    def mul(self, other: "PresentedMatrix") -> "PresentedMatrix":
-        """Exact product; its tail is the product of the two tails' symbols.
+    def mul(self, other: "PresentedMatrix",
+            minus: "PresentedMatrix | None" = None) -> "PresentedMatrix":
+        """Exact product self·other, less minus if given; its tail is the tails' product.
 
         The head block stops at m = max(A.tail_start(), min(B.tail_start(),
         B.head_size + A.band)) for self = A and other = B.  Take i, j >= m.
@@ -376,15 +374,21 @@ class PresentedMatrix:
         F_1 F_{i-1} stops at h + 1, not at max(A.tail_start(),
         B.tail_start()) = h + i - 1; the normal form strips the same result
         from either block.
+
+        With minus = C the block also covers C's head, and C's stored entries
+        and its tail up to m go into the same row map, negated.
         """
-        self._require_same_index(other)
+        self._require_same_index(other, minus)
         diags: dict[int, int] = {}
         for d1, v1 in self._diags.items():
             for d2, v2 in other._diags.items():
                 diags[d1 + d2] = diags.get(d1 + d2, 0) + v1 * v2
+        for d, v in minus._diags.items() if minus is not None else ():
+            diags[d] = diags.get(d, 0) - v
         if self.index.kind == "int":
-            return PresentedMatrix(self.index, diagonals=diags)
-        m = max(self.tail_start(), min(other.tail_start(), other.head_size + self.band))
+            return self._build(self.index, 0, {}, diags)
+        m = max(self.tail_start(), min(other.tail_start(), other.head_size + self.band),
+                0 if minus is None else minus.head_size)
         # below m, other's stored columns can reach rows past m + other.band
         end = max(m + other.band, other.head_extent())
         # other's rows inside its head are read as stored; each row past it
@@ -394,12 +398,13 @@ class PresentedMatrix:
         hs, diags_a = self.head_size, self._diags
         tail_a = {i: {i + d: a for d, a in diags_a.items() if i + d >= hs}
                   for i in range(hs, m)} if diags_a else {}
-        head: dict[tuple[int, int], int] = {}
+        rows: dict[int, dict[int, int]] = {}
         for rows_a in (self._rows, tail_a):
             for i, row_a in rows_a.items():
+                out = rows.setdefault(i, {})
                 for k, a in row_a.items():
                     for j, b in (rows_b.get(k, {}) if k < ohs else tail_b[k]).items():
-                        head[i, j] = head.get((i, j), 0) + a * b
+                        out[j] = out.get(j, 0) + a * b
         # rows i >= m of self are pure tail, so below the head block the
         # product meets only other's rows m - self.band .. end - 1
         for k in range(m - self.band, end) if diags_a else ():
@@ -407,8 +412,11 @@ class PresentedMatrix:
                 if j < m:
                     for d, a in diags_a.items():
                         if k - d >= m:
-                            head[k - d, j] = head.get((k - d, j), 0) + a * b
-        return PresentedMatrix(self.index, m, head, diags)
+                            out = rows.setdefault(k - d, {})
+                            out[j] = out.get(j, 0) + a * b
+        if minus is not None:
+            _accumulate(rows, minus, m, -1)
+        return self._build(self.index, m, rows, diags)
 
     def poly_eval(self, coeffs: Iterable[int]) -> "PresentedMatrix":
         """Evaluate an integer polynomial (lowest degree first) at this matrix."""
@@ -515,10 +523,14 @@ class PresentedMatrix:
             diags[int(k)] = _as_int(v)
         band = tail.get("band", 0)
         head_size = head.get("size", 0)
-        real_band = max((abs(d) for d in diags if diags[d] != 0), default=0)
-        if _as_int(band) < real_band:
+        matrix = PresentedMatrix(index, _as_int(head_size), triples, diags)
+        if _as_int(band) < matrix.band:
             raise PresentationError(f"declared band {band} smaller than diagonal offsets")
-        return PresentedMatrix(index, _as_int(head_size), triples, diags)
+        if matrix.band > MAX_BAND:
+            raise PresentationError(f"band {matrix.band} exceeds the cap {MAX_BAND}")
+        if matrix.head_size > MAX_HEAD:
+            raise PresentationError(f"head size {matrix.head_size} exceeds the cap {MAX_HEAD}")
+        return matrix
 
     # -- identity -----------------------------------------------------------
 
@@ -541,6 +553,19 @@ class PresentedMatrix:
             f"PresentedMatrix({self.index!r}, head_size={self.head_size}, "
             f"head={sorted(self._items())}, diagonals={dict(sorted(self._diags.items()))})"
         )
+
+
+def _accumulate(rows: dict, term: PresentedMatrix, stop: int, sign: int = 1) -> None:
+    """rows += sign * term, its tail written out on the edges from its head size to stop."""
+    for i, row in term._rows.items():
+        out = rows.setdefault(i, {})
+        for j, v in row.items():
+            out[j] = out.get(j, 0) + sign * v
+    for e in range(term.head_size, stop):
+        for d, v in term._diags.items():
+            i, j = (e, e + d) if d >= 0 else (e - d, e)
+            out = rows.setdefault(i, {})
+            out[j] = out.get(j, 0) + sign * v
 
 
 def _tail_value(tails: tuple[tuple[int, int], ...], i: int) -> int:

@@ -15,9 +15,9 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from sl2cat import modcat, oracles
-from sl2cat.cli import MAX_UPTO, MAX_WINDOW, _print_json, main
+from sl2cat.cli import MAX_SIZE, MAX_UPTO, MAX_WINDOW, _print_json, main
 from sl2cat.dynkin import gcm_of
-from sl2cat.presented import PresentedMatrix
+from sl2cat.presented import MAX_BAND, MAX_HEAD, PresentedMatrix
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "sl2cat" / "schemas"
 
@@ -264,6 +264,23 @@ def test_model_file_with_a_bool_finite_size_exit_3(capsys, tmp_path):
     code, out, err = run(capsys, "derive", "--model", str(path), "--upto", "1", "--json")
     assert (code, out) == (3, "")
     assert err == f"error: {path}: expected an integer, got True\n"
+
+
+@pytest.mark.parametrize("head, tail, message", [
+    ({"size": 0, "entries": []}, {"band": 10**9, "diagonals": {"-1": 1, str(10**9): 1}},
+     f"band 1000000000 exceeds the cap {MAX_BAND}"),
+    ({"size": 10**9, "entries": [[0, 1, 1], [1, 0, 1]]}, {"band": 1, "diagonals": {"-1": 1, "1": 1}},
+     f"head size 1000000000 exceeds the cap {MAX_HEAD}"),
+])
+def test_a_model_past_the_band_or_head_cap_exit_3(capsys, tmp_path, time_limit,
+                                                  head, tail, message):
+    # both read in at once; derive and transitive on them would not finish
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"index": "nat", "head": head, "tail": tail}))
+    for verb in (["derive", "--upto", "2"], ["transitive"], ["render", "--dot", "-"]):
+        with time_limit(1.0):
+            code, out, err = run(capsys, verb[0], "--model", str(path), *verb[1:])
+        assert (code, out, err) == (3, "", f"error: {path}: {message}\n"), verb
 
 
 def test_transitive_catalog_models(capsys, registry):
@@ -798,6 +815,15 @@ def test_render_negative_size_exit_3(capsys):
     assert err == "error: --size must be >= 0\n"
 
 
+def test_render_size_past_the_cap_exit_3(capsys, time_limit):
+    # about 85 bytes of DOT per node: the cap bounds the output to 8.5 MB
+    with time_limit(1.0):
+        code, out, err = run(capsys, "render", "--model", "Ainf", "--dot", "-",
+                             "--size", str(MAX_SIZE + 1))
+    assert (code, out) == (3, "")
+    assert err == "error: --size must be <= 100000, got 100001\n"
+
+
 def test_render_and_transitive_read_a_large_window_in_linear_time(capsys, tmp_path, time_limit):
     # both read their window through the row and column maps, not a dense n x n truncation
     with time_limit(4.0):
@@ -962,7 +988,8 @@ def _argv(root, paths):
               st.sampled_from([[], ["--assume-restrictions"]]), json_flag),
         words(fixed("render"), st.one_of(flag("--model", models), flag("--gcm", files)),
               flag("--dot", dots),
-              optional("--size", st.one_of(num(-1, 8), st.integers(9, 100_000).map(str)))),
+              optional("--size", st.one_of(num(-1, 8), st.integers(9, MAX_SIZE).map(str),
+                                           st.integers(MAX_SIZE + 1, MAX_SIZE + 3).map(str)))),
         words(fixed("predict"), flag("--theorem", st.sampled_from(["10.1", "10.2", "9"])),
               optional("--case", st.sampled_from("abcez")),
               optional("--weight-class", st.sampled_from([*modcat.WEIGHT_CLASSES, "bogus"])),

@@ -275,6 +275,28 @@ def test_relabeled_infinite_head_still_matches():
             assert result.dtype.family == family
 
 
+def _chain_with_a_double_bond(n: int, cut: int | None = None) -> PresentedMatrix:
+    """A GCM on N: an A-chain whose last head edge (n - 1, n) is a double bond,
+    so the head of n vertices does not normalize away; cut drops edge (cut, cut + 1)."""
+    head = {(i, i): 2 for i in range(n)}
+    for i in range(n - 1):
+        if i != cut:
+            head[i, i + 1] = head[i + 1, i] = -1
+    head[n - 1, n], head[n, n - 1] = -2, -1
+    return PresentedMatrix(IndexSet.nat(), n, head, {-1: -1, 0: 2, 1: -1})
+
+
+def test_infinite_connectivity_is_linear_in_the_head(time_limit):
+    # the certificate follows the row and column maps; a dense window
+    # scanned a whole row and column per vertex, 0.38 s at a head of 2,000
+    n = 10_000
+    with time_limit(2.0):
+        whole = classify(_chain_with_a_double_bond(n))
+        cut = classify(_chain_with_a_double_bond(n, cut=n // 2))
+    assert whole.certificate["reason"] == "no strictly positive eventually-affine null vector found"
+    assert cut.certificate == {"reason": "could not certify connectivity of the infinite diagram"}
+
+
 def test_one_vertex_cases():
     assert classify(finite_gcm([[2]])).dtype == DynkinType("classical", "A", 1)
     assert classify(finite_gcm([[1]])).to_json() == {

@@ -282,6 +282,61 @@ def test_finite_mul_and_add_match_dense_oracle(pair):
     assert a.add(b).truncate(len(x)) == refimpl.mat_add(x, y)
 
 
+def with_a_head_past(a, b, c, extra):
+    """(a, b, c) with c's head grown past every head of a and b, so past the
+    head block of a·b; a nonzero tail keeps it from normalizing away."""
+    size = max(a.tail_start(), b.tail_start(), c.head_size) + extra
+    head = {(i, j): v for i, j, v in c.head_entries()}
+    return a, b, PresentedMatrix(NAT, size, head, c.diagonals() or {0: 1})
+
+
+def dense_triple(n: int):
+    rows = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+    return st.tuples(rows, rows, rows).map(lambda t: tuple(map(PresentedMatrix.from_dense, t)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.tuples(small_nat_matrices, small_nat_matrices, small_nat_matrices),
+    st.builds(with_a_head_past, small_nat_matrices, small_nat_matrices, small_nat_matrices,
+              st.integers(1, 4)),
+    st.tuples(small_int_matrices, small_int_matrices, small_int_matrices),
+    st.integers(0, 5).flatmap(dense_triple),
+))
+def test_fused_step_matches_three_matrices_and_dense_oracle(triple):
+    a, b, c = triple
+    fused = a.mul(b, c)
+    assert fused == a.mul(b).add(c.scale(-1))
+    if a.index.kind == "finite":
+        n = a.index.size
+        dense = refimpl.mat_mul(a.truncate(n), b.truncate(n))
+        assert fused.truncate(n) == refimpl.mat_add(dense, refimpl.mat_scale(-1, c.truncate(n)))
+        return
+    if a.index.kind == "int":
+        lo, window, pad = -4, 8, a.band
+    else:
+        lo, pad = 0, 0
+        window = max(past_the_tail(fused), past_the_tail(b) + a.band, past_the_tail(c))
+    big = window + 2 * pad + a.band + (a.head_extent() if lo == 0 else 0)
+    dense = crop(refimpl.mat_mul(dense_window(a, big, lo - pad), dense_window(b, big, lo - pad)),
+                 pad, window)
+    assert dense_window(fused, window, lo) == refimpl.mat_add(
+        dense, refimpl.mat_scale(-1, dense_window(c, window, lo)))
+
+
+def test_fused_step_needs_one_index_set():
+    with pytest.raises(PresentationError):
+        tridiagonal_nat().mul(tridiagonal_nat(), PresentedMatrix(INT, diagonals={0: 1}))
+
+
+def test_the_builder_raises_on_an_entry_outside_the_head_region():
+    for index, head_size, rows in [(NAT, 1, {2: {3: 5}}), (NAT, 1, {-1: {0: 1}}),
+                                   (IndexSet.finite(2), 0, {0: {2: 1}}), (INT, 0, {0: {0: 1}}),
+                                   (NAT, 1, {0: {0: 1.5}})]:
+        with pytest.raises(PresentationError):
+            PresentedMatrix._build(index, head_size, rows, {})
+
+
 def assert_r_poly_of(fk: PresentedMatrix, f1: PresentedMatrix, k: int) -> None:
     """fk is R_k(f1) on a dense window, by the dense Horner oracle."""
     if f1.index.kind == "finite":
@@ -336,6 +391,25 @@ def test_derivation_drops_at_most_one_edge_per_matrix(monkeypatch, name):
     fusion._CHAINS.pop(f1, None)
     fusion.action(f1, 48)
     assert max(dropped) <= 1 and sum(dropped) <= 48, (max(dropped), sum(dropped))
+
+
+@pytest.mark.parametrize("name", NAT_CATALOG)
+def test_each_recurrence_step_builds_one_matrix(monkeypatch, name):
+    # F_i = F_1 F_{i-1} - F_{i-2} is one fused product, not mul, scale and add
+    built = []
+    build = PresentedMatrix._build
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    f1 = catalog(name).f1
+    fusion._CHAINS.pop(f1, None)
+    monkeypatch.setattr(PresentedMatrix, "_build", staticmethod(counting))
+    fusion.action(f1, 1)
+    seeds = len(built)
+    fusion.action(f1, 48)
+    assert len(built) - seeds == 47
 
 
 @pytest.mark.parametrize("name", NAT_CATALOG)
