@@ -38,7 +38,13 @@ __all__ = [
     "find_positive_null_vector",
     "classify",
     "classify_components",
+    "MAX_FINITE_RANK",
 ]
+
+#: Finite classification is cubic in the rank (leading minors, the kernel, and
+#: F_{h-1} of the template, h = 2n on B_n and C_n): a dense GCM of this rank with
+#: entries down to -9 answers in about 1.5 s.
+MAX_FINITE_RANK = 100
 
 
 class GCMError(ValueError):
@@ -604,8 +610,15 @@ def _classify_finite(gcm: PresentedMatrix, adjacency: PresentedMatrix) -> Classi
     return _unrecognized(f"{proof} but matches no {kind} template")
 
 
+def _check_size(gcm: PresentedMatrix) -> None:
+    if gcm.index.kind == "finite" and gcm.index.size > MAX_FINITE_RANK:
+        raise GCMError(f"finite index of size {gcm.index.size} exceeds the classification"
+                       f" cap {MAX_FINITE_RANK}")
+
+
 def classify(gcm: PresentedMatrix) -> Classification:
     """Classify a generalized Cartan matrix with an exact certificate."""
+    _check_size(gcm)
     validate_gcm(gcm)
     try:
         adjacency = graph_of(gcm)
@@ -629,6 +642,7 @@ def classify_components(gcm: PresentedMatrix) -> list[tuple[list[int], Classific
     """(sorted vertices, classification) of each connected component of a finite GCM."""
     if gcm.index.kind != "finite":
         raise GCMError("componentwise classification needs a finite matrix")
+    _check_size(gcm)
     dense = gcm.truncate(gcm.index.size)
     neighbours = undirected(gcm, len(dense))
     out: list[tuple[list[int], Classification]] = []

@@ -19,9 +19,9 @@ The same recurrence, L(1) (x) L(i-1) = L(i) (+) L(i-2), derives the action
 of L(i) on a module category from that of L(1): action(F_1, i) returns
 F_i = F_1 F_{i-1} - F_{i-2}, seeded with R_0(F_1) and R_1(F_1) by
 poly_eval.  Each step is one fused product, F_1.mul(F_{i-1}, F_{i-2}),
-that builds one matrix.  Each F_1 keeps one chain [F_0, F_1, ...] in a
-bounded LRU, so the first k matrices cost k products, and asking again
-costs none.
+that builds one matrix.  Each F_1 keeps one chain [F_0, F_1, ...] in an
+lru_cache of 32 chains, so the first k matrices cost k products, and
+asking again costs none.
 
 All coefficients are arbitrary precision integers; no floating point is
 used anywhere.
@@ -29,7 +29,7 @@ used anywhere.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from functools import lru_cache
 
 from .presented import PresentedMatrix
 
@@ -78,23 +78,18 @@ def r_poly(i: int) -> UltrasphericalPoly:
     return tuple(cur)
 
 
-#: F_1 -> [F_0, F_1, ...], least recently used first.  A chain holds every
-#: F_i asked for so far, so the bound is on chains: a session reads a few
-#: models, and each classify certificate one template.
-_CHAINS: OrderedDict[PresentedMatrix, list[PresentedMatrix]] = OrderedDict()
-_CHAIN_LIMIT = 32
+@lru_cache(maxsize=32)
+def _chain(f1: PresentedMatrix) -> list[PresentedMatrix]:
+    """[F_0, F_1, ...] so far.  A chain holds every F_i asked for, so the bound is
+    on chains: a session reads a few models, and each classify certificate one template."""
+    return [f1.poly_eval(r_poly(0)), f1.poly_eval(r_poly(1))]
 
 
 def action(f1: PresentedMatrix, i: int) -> PresentedMatrix:
     """F_i = R_i(F_1): tensoring with L(i); the one derivation, cached for every caller."""
     if i < 0:
         raise ValueError(f"index must be >= 0, got {i}")
-    chain = _CHAINS.pop(f1, None)
-    if chain is None:
-        chain = [f1.poly_eval(r_poly(0)), f1.poly_eval(r_poly(1))]
-    _CHAINS[f1] = chain
-    if len(_CHAINS) > _CHAIN_LIMIT:
-        _CHAINS.popitem(last=False)
+    chain = _chain(f1)
     while len(chain) <= i:
         chain.append(f1.mul(chain[-1], chain[-2]))
     return chain[i]

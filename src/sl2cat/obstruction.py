@@ -14,6 +14,13 @@ must satisfy:
   * a module whose top (or socle) is everything is semisimple, so the
     other side is everything as well (applied up to length four).
 
+Each identity is one rule: an adjunction pair is built once, when its
+first key is visited, and a simple module, whose top and socle are
+pinned before any rule exists, gets no nonzero rule.  One setup serves
+both answers.  On a symmetric F_1 the semisimple witness (top = socle =
+all factors) is pinned untraced and every rule runs once on it; if one
+fails, the pins are undone and the same state and rules go on.
+
 The solver propagates these identities to a fixpoint, then finishes with
 a small backtracking search.  It reports SAT with a witness assignment,
 UNSAT with an event trace ending in the violated identity, or unknown
@@ -283,6 +290,8 @@ def _build_rules(comps: dict, depth: int, schur_dim: int, state: _State) -> list
                 mirror = comps[(a, k)]
                 for side, word, dual, dual_word in (("t", "top", "s", "socle"),
                                                     ("s", "socle", "t", "top")):
+                    if j in mirror and (k < j or (k == j and side == "s")):
+                        continue  # one rule per pair: built at (k, j) or on the top side
                     event = {
                         "constraint": "adjunction", "degree": a, "object": j, "factor": k,
                         "identity": (f"[{word} F_{a} S_{j} : S_{k}]"
@@ -319,8 +328,8 @@ def _build_rules(comps: dict, depth: int, schur_dim: int, state: _State) -> list
         length = sum(comp.values())
         t_keys = [("t", a, j, k) for k in sorted(comp)]
         s_keys = [("s", a, j, k) for k in sorted(comp)]
-        if 1 <= length <= 4:
-            # nonzero module: nonzero top and socle
+        if 2 <= length <= 4:
+            # nonzero module: nonzero top and socle (a simple one is pinned above)
             for keys, word in ((t_keys, "top"), (s_keys, "socle")):
                 event = {
                     "constraint": "nonzero", "degree": a, "object": j, "side": word,
@@ -424,32 +433,29 @@ def solve_feasibility(f1: PresentedMatrix, depth: int, schur_dim: int = 1,
     if depth > max_depth:
         raise ValueError(f"depth {depth} exceeds the exhaustive-search cap {max_depth}")
     comps = _compositions(f1, depth)
-
-    if f1.is_symmetric():
-        # semisimple witness: top = socle = all composition factors; verify
-        # it against the full rule set before reporting
-        state = _fresh_state(comps, None)
-        try:
-            rules = _build_rules(comps, depth, schur_dim, state)
-            for (a, j), comp in comps.items():
-                for k, mult in comp.items():
-                    state.narrow(("t", a, j, k), mult, mult, {"constraint": "witness"})
-                    state.narrow(("s", a, j, k), mult, mult, {"constraint": "witness"})
-            for rule in rules:  # every variable is pinned: one sweep decides
-                rule(state)
-            trace = [{
-                "constraint": "semisimple-witness", "status": "established",
-                "identity": "the action matrix is symmetric; top = socle = all factors",
-            }]
-            return ObstructionReport("SAT", depth, schur_dim,
-                                     _witness_from(state, comps, depth), trace)
-        except _Violation:
-            pass  # fall through to the general engine
-
     trace: list[dict] = []
     state = _fresh_state(comps, trace)
     try:
         rules = _build_rules(comps, depth, schur_dim, state)
+        if f1.is_symmetric():
+            # semisimple witness: top = socle = all composition factors, pinned
+            # untraced; every variable is pinned, so one run of each rule decides
+            mark, state.trace = len(state.trail), None
+            try:
+                for (a, j), comp in comps.items():
+                    for k, mult in comp.items():
+                        state.narrow(("t", a, j, k), mult, mult, {"constraint": "witness"})
+                        state.narrow(("s", a, j, k), mult, mult, {"constraint": "witness"})
+                for rule in rules:
+                    rule(state)
+                witness = _witness_from(state, comps, depth)
+                return ObstructionReport("SAT", depth, schur_dim, witness, [{
+                    "constraint": "semisimple-witness", "status": "established",
+                    "identity": "the action matrix is symmetric; top = socle = all factors",
+                }])
+            except _Violation:  # fall through to the general engine
+                state.undo(mark)
+                state.trace = trace
         watch = _watch_index(rules, state.domains)
         _propagate(state, rules, watch, range(len(rules)))
     except _Violation as exc:

@@ -310,44 +310,25 @@ _REALIZATIONS: dict[str, tuple[str, Callable[[int], dict[int, int]]]] = {
 _FIT_WINDOW = 10
 
 
-def _fit_nat(columns: dict[int, dict[int, int]]) -> PresentedMatrix:
-    # every derived entry near the boundary goes in the head; the
-    # constructor drops the boundary edges that agree with the tail
-    window = len(columns) - 4
-    diags = {window - 1 - i: v for i, v in columns[window - 1].items()}
-    head = {
-        (i, j): v
-        for j, col in columns.items()
-        for i, v in col.items()
-        if min(i, j) < window
-    }
-    matrix = PresentedMatrix(_NAT, window, head, diags)
-    if any(dict(matrix.col_entries(j)) != columns[j] for j in columns):
-        raise RuntimeError("no finitely presented matrix fits the derived columns")
-    return matrix
-
-
-def _fit_int(column_fn: Callable[[int], dict[int, int]]) -> PresentedMatrix:
-    window = _FIT_WINDOW
-    diags = {-i: v for i, v in column_fn(0).items()}
-    matrix = PresentedMatrix(IndexSet.int_(), diagonals=diags)
-    for j in range(-window, window + 1):
-        if dict(matrix.col_entries(j)) != column_fn(j):
-            raise RuntimeError(f"derived action is not Toeplitz at column {j}")
-    return matrix
-
-
 def derive_catalog_matrix(realization: str) -> PresentedMatrix:
     """Rebuild a catalog action matrix purely from the oracle rules.
 
     The matrix is fitted on a finite window of derived columns and then
-    re-verified on extra columns past the window.
+    re-verified on every derived column, including extra ones past the window.
     """
     kind, column_fn = _REALIZATIONS[realization]
-    if kind == "int":
-        return _fit_int(column_fn)
-    columns = {j: column_fn(j) for j in range(_FIT_WINDOW + 4)}
-    return _fit_nat(columns)
+    # Z has no boundary, so no head: window 0, columns on both sides of 0
+    index, window = (IndexSet.int_(), 0) if kind == "int" else (_NAT, _FIT_WINDOW)
+    columns = {j: column_fn(j) for j in range(window - _FIT_WINDOW, _FIT_WINDOW + 4)}
+    # every derived entry near the boundary goes in the head; the
+    # constructor drops the boundary edges that agree with the tail
+    diags = {window - i: v for i, v in columns[window].items()}
+    head = {(i, j): v for j, col in columns.items() for i, v in col.items()
+            if 0 <= min(i, j) < window}
+    matrix = PresentedMatrix(index, window, head, diags)
+    if any(dict(matrix.col_entries(j)) != col for j, col in columns.items()):
+        raise RuntimeError("no finitely presented matrix fits the derived columns")
+    return matrix
 
 
 # -- restriction characters --------------------------------------------------------

@@ -16,7 +16,7 @@ from referencing import Registry, Resource
 
 from sl2cat import modcat, oracles
 from sl2cat.cli import MAX_SIZE, MAX_UPTO, MAX_WINDOW, _print_json, main
-from sl2cat.dynkin import gcm_of
+from sl2cat.dynkin import MAX_FINITE_RANK, DynkinType, gcm_of, template
 from sl2cat.presented import MAX_BAND, MAX_HEAD, PresentedMatrix
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "sl2cat" / "schemas"
@@ -83,7 +83,7 @@ def test_classify_affine_display(capsys, tmp_path):
 
 
 def test_classify_infinite_from_catalog_gcm(capsys, tmp_path):
-    from sl2cat.dynkin import gcm_of
+    from sl2cat.dynkin import MAX_FINITE_RANK, DynkinType, gcm_of, template
 
     gcm = gcm_of(modcat.catalog("BinfDual").projective_matrix())
     path = tmp_path / "binf.json"
@@ -281,6 +281,29 @@ def test_a_model_past_the_band_or_head_cap_exit_3(capsys, tmp_path, time_limit,
         with time_limit(1.0):
             code, out, err = run(capsys, verb[0], "--model", str(path), *verb[1:])
         assert (code, out, err) == (3, "", f"error: {path}: {message}\n"), verb
+
+
+@pytest.mark.parametrize("extra", [[], ["--components"]])
+def test_a_finite_gcm_past_the_classification_cap_exit_3(capsys, tmp_path, time_limit, extra):
+    # finite classification is cubic in the rank: A_400 took 7 s without the cap
+    size = MAX_FINITE_RANK + 1
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(template(DynkinType("classical", "A", size)).to_json_dict()))
+    with time_limit(1.0):
+        code, out, err = run(capsys, "classify", "--gcm", str(path), *extra)
+    assert (code, out) == (3, "")
+    assert err == f"error: finite index of size {size} exceeds the classification cap {MAX_FINITE_RANK}\n"
+
+
+def test_a_finite_gcm_at_the_classification_cap_answers(capsys, tmp_path, time_limit):
+    # B_n's certificate derives F_{2n-1} of its template, the slowest template
+    dtype = DynkinType("classical", "B", MAX_FINITE_RANK)
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(template(dtype).to_json_dict()))
+    with time_limit(5.0):
+        code, out, err = run(capsys, "classify", "--gcm", str(path), "--certificate")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"Classical {dtype.display()} (h={2 * MAX_FINITE_RANK})")
 
 
 def test_transitive_catalog_models(capsys, registry):

@@ -428,6 +428,140 @@ def test_obstruction_reports_match_full_sweep_digests(name):
         assert hashlib.sha256(text.encode()).hexdigest() == OBSTRUCTION_DIGESTS[name][depth - 1], depth
 
 
+# the same digests with schur_dim=2, where Ainf and Dinf at depths 2..8 fall
+# through from the semisimple witness to propagation (UNSAT); recorded from
+# the solver that built a second state and rule list for that fallthrough
+OBSTRUCTION_DIGESTS_SCHUR_2 = {
+    "Ainf": (
+        "6035e6a31364fe94e8446e09f2065df6336c5386d9825dcee7d50f2d15ca2c3a",
+        "674752d9215efe480d0824870b26eab314ad7403a6306e6c1b5573b7f46630d6",
+        "810dfd67aab9be0a835346d35d645427fceb21470d529e7c005af67b1bd3f3fe",
+        "68ca46c340a4827e42ef446694f181a03581fa8342303ba663748666a674a8e6",
+        "7a3824018f40207dc9d69b2ea6efb710db798ad285c1088f7f0007649d2b7e74",
+        "b7b2b2a85ee5ac0152038fd707522154fba8633ffd64030c74e407359902ac80",
+        "f122cccbfa96be2d7d598e7fea6f42e8f297af6fb7a629bee17d754481d6fa03",
+        "0f99950a668e0c7cecf334f5111203a948379ea3e611d94cddc8112947bf689f",
+    ),
+    "AinfInf": (
+        "f43876416a22b68b4fb9e19b47dc102efe69952665f7a11382857f4df33eff8a",
+        "ac18c19df97baf6cc4b7f6f861a51f08746cf3c32a0b7411219bfc976b4f3935",
+        "2003b04c9a8ec5668cba51255f443a83943f7e853f37506b1ac108c4f6956b80",
+        "a8917f50b6e86d7f790ea10272f5b14e685dd8d5684b52601e4c82725d3f2a49",
+        "71d9e8aeb8e20481878e5dd35138b8dcf9d91b9c0d68dfa4ae3cad78f0fb9cf8",
+        "515ebe9133ef674d957be9d4bae1c3039a98c72ce7ab2975a247ff8d0c1dc150",
+        "4a6a7df311e862abeda14176f8e6af9842b99a683da66fb6727b6b2f0c022a97",
+        "c7c3a331aacfb3d00d41d684f94f0a122f1b6aa33a5e0ec0710e339a74d92944",
+    ),
+    "BinfDual": (
+        "e8987ee7d2b8e7b18c342258c176f7e8e299de28921a49b3aefcf66e9529d23f",
+        "0e93d6a214058abdb5a0543a04eb81063a08135537cbca7576706204b1bf854d",
+        "b6663c071931d1207568153b2c8fa7d64536ccd4e02938f9b2ad3617b223711b",
+        "61ee344126a97302081ad35db0ed986868f96e4deaa3d8699726740e87371267",
+        "3873751e4ff46e9271ef8a8eb4edebd7f1a39439bcbc7e438da4f0db1b000c19",
+        "e37c83cd30d3fb89522493ebfa4353b37214ea84c226a5334e0c353900e36103",
+        "2aafffd46abb14de7904e6dcae0d13de8f3f5f05ea2050721dccd00bd3ec98ce",
+        "0e6fb85fe24e3f6d24d890d4850e545fe85ea1a129630a3f64c2710b659dcfad",
+    ),
+    "Cinf": (
+        "4aae842f60350bc28ea725de156be13196554ff4a050b66e67d2495b011e71c4",
+        "6eb9c14d65833e606e7358e2bfadf44eaafffb89c1e13ad461ba99ae94303914",
+        "819aeb8ea359120470c0745724f0d734ba15307b3bdebbe3105bc48174e0c64e",
+        "edf04654d78e1f8169a6143670bba8e5b44e21bb0299a18d5b5c0cad0ef82547",
+        "12059cf7ccd065117efa768d032c9351ec302358d8f64d7a2dab055ca5e9a582",
+        "2c9714c21dad92883c8d4e7d120f81a3dad1d0af85078c4ddc3d48c6f358fabd",
+        "7f2fd8531bae795e547b384ae46c5ea913702abf5489676e0a87f61108fb8f68",
+        "e6c45cdc06530b7b0e7ca86d0bfd15e971e3ae3538b2a68777dd06bd95f400fa",
+    ),
+    "Dinf": (
+        "33d6456c755d8c6ac250aee75b2e5a6a6ad9c20c80b1374f53279f3c91b3ea0a",
+        "b485f436ed8b7912b67e559c1fa22458b9f64d871c885331ccb758f06b8fd40e",
+        "ead736caee975fe011796760f471f21fe08b40508d93a43941685f26fab5635b",
+        "307f5dabd4b24b674b41ad1914abd099166167a800ba7428bf264563b6e0eb4d",
+        "f5d02d632590774459b4584a9d81663e382984c129ce53af5a2ea1f762016048",
+        "1121304e3f283aad621ad689047b1ba8b85d4b47e449ab86f0813a04bf69dc00",
+        "9108fb7084c330d67755cc42335d50befff1b33bb0011c55521ace9292324050",
+        "d828923d78a0816970bf06d6a2f072b5e1443bfa9cc877aa9c6d2764dbecb05d",
+    ),
+    "Tinf": (
+        "2a5fbfec2dc01aa779bc1ce8ede7059e608df7b3c411d47c9d867f0f4277d1bb",
+        "135e4a7c7da8ce4ec335cfe1337fcf2f9f342e024a1ded6424e7a8256ba94684",
+        "ef6d0dad2b69783a5c1711ce294437b5119296f595bc27b2c45524b46354a93b",
+        "bd6025c385404b7862205f00dae6ddc2a8a4d3a4a977c1b74fac5ae95dd3619a",
+        "c16ac959a483e4ee0ab300679d958dac085c9a52a467d3a00b98c589d7745dfc",
+        "a4cd530f948cd3b396b42fe80ad9b1564eeb8b484f735967a945af1ecf27554c",
+        "343f2abe74b2984983fccea93528188f5ad81ae71867e71968a4851b0330d6f8",
+        "5b2e956b0a4d217aafbcaf219917aaeeb6530d2ae4c837e0c7fa335445e0577a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_schur_dim_2_reports_match_digests(name):
+    for depth in range(1, 9):
+        report = socle_top_feasibility(catalog(name), depth, schur_dim=2)
+        text = json.dumps(report.to_json(), sort_keys=True)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == OBSTRUCTION_DIGESTS_SCHUR_2[name][depth - 1], depth
+
+
+def _built_rules(monkeypatch):
+    """Record (maker, keys, event) for every rule that the rule makers build."""
+    made = []
+    for maker in ("_rule_equal", "_rule_sum"):
+        def recording(*args, _make=getattr(obstruction, maker), _maker=maker):
+            rule = _make(*args)
+            made.append((_maker, rule.keys, args[-1]))
+            return rule
+        monkeypatch.setattr(obstruction, maker, recording)
+    return made
+
+
+def _catalog_builds(made):
+    """(state after the build, rules recorded) for the six models at depths 1..8."""
+    for name in catalog_names():
+        for depth in range(1, 9):
+            made.clear()
+            comps = obstruction._compositions(catalog(name).f1, depth)
+            state = obstruction._fresh_state(comps, [])
+            obstruction._build_rules(comps, depth, 1, state)
+            yield state, list(made)
+
+
+def test_each_adjunction_identity_is_one_rule(monkeypatch):
+    made, seen = _built_rules(monkeypatch), 0
+    for _, rules in _catalog_builds(made):
+        pairs = [frozenset(keys) for maker, keys, _ in rules if maker == "_rule_equal"]
+        assert len(pairs) == len(set(pairs))
+        seen += len(pairs)
+    assert seen
+
+
+def test_no_nonzero_rule_on_a_key_the_build_pinned(monkeypatch):
+    made, seen = _built_rules(monkeypatch), 0
+    for state, rules in _catalog_builds(made):
+        nonzero = [keys for _, keys, event in rules if event["constraint"] == "nonzero"]
+        assert not [keys for keys in nonzero if len(keys) == 1 and state.value(keys[0]) is not None]
+        seen += len(nonzero)
+    assert seen
+
+
+def test_one_rule_build_per_solve_including_the_fallthrough(monkeypatch):
+    build, builds = obstruction._build_rules, []
+
+    def counted(*args):
+        builds.append(args[1])
+        return build(*args)
+
+    monkeypatch.setattr(obstruction, "_build_rules", counted)
+    calls = 0
+    for name in catalog_names():
+        for depth in range(1, 9):
+            for schur_dim in (1, 2):  # Ainf and Dinf fall through at schur dim 2
+                solve_feasibility(catalog(name).f1, depth, schur_dim=schur_dim)
+                calls += 1
+                assert len(builds) == calls, (name, depth, schur_dim)
+
+
 def _full_sweeps(state, rules):
     """Reference propagation: run every rule in order until a sweep changes nothing."""
     while True:

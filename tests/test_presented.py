@@ -365,7 +365,7 @@ def test_poly_eval_of_r_poly_matches_dense_oracle(name):
        st.lists(st.integers(0, 8), min_size=1, max_size=3))
 def test_action_recurrence_matches_dense_oracle(f1, ks):
     # 8 first on a cold chain, then 3 read back from it, then drawn k in drawn order
-    fusion._CHAINS.pop(f1, None)
+    fusion._chain.cache_clear()
     for k in [8, 3, *ks]:
         assert_r_poly_of(fusion.action(f1, k), f1, k)
 
@@ -388,7 +388,7 @@ def test_derivation_drops_at_most_one_edge_per_matrix(monkeypatch, name):
 
     monkeypatch.setattr(PresentedMatrix, "_normalize", counting)
     f1 = catalog(name).f1
-    fusion._CHAINS.pop(f1, None)
+    fusion._chain.cache_clear()
     fusion.action(f1, 48)
     assert max(dropped) <= 1 and sum(dropped) <= 48, (max(dropped), sum(dropped))
 
@@ -404,7 +404,7 @@ def test_each_recurrence_step_builds_one_matrix(monkeypatch, name):
         return build(*args, **kwargs)
 
     f1 = catalog(name).f1
-    fusion._CHAINS.pop(f1, None)
+    fusion._chain.cache_clear()
     monkeypatch.setattr(PresentedMatrix, "_build", staticmethod(counting))
     fusion.action(f1, 1)
     seeds = len(built)
