@@ -54,9 +54,8 @@ class UsageError(Exception):
 def _print_json(doc) -> None:
     """Print doc as ``json.dumps`` writes it with a two-space indent and
     sorted keys, plus a newline.  With an indent, ``json.dumps`` takes its
-    pure-Python encoder, so this writes the same bytes directly.  Every key
-    must be a ``str``; any other key, and any leaf json cannot encode,
-    raises ``TypeError``."""
+    pure-Python encoder, so this writes the same bytes directly.  A key that
+    is not a ``str``, a record, and a leaf json cannot encode raise ``TypeError``."""
     print(_json_text(doc, ""))
 
 
@@ -67,6 +66,8 @@ def _json_text(obj, pad: str) -> str:
         return int.__repr__(obj)
     if not isinstance(obj, (dict, list, tuple)):
         return json.dumps(obj)  # bool, None, float; anything else raises TypeError
+    if hasattr(obj, "_fields"):
+        raise TypeError(f"a {type(obj).__name__} record is not a JSON value")
     if not obj:
         return "{}" if isinstance(obj, dict) else "[]"
     inner = pad + "  "

@@ -14,8 +14,9 @@ All arithmetic is integer or Fraction; nothing here is numerical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable
 
@@ -51,17 +52,15 @@ class GCMError(ValueError):
     """Raised when a matrix violates the generalized Cartan axioms."""
 
 
-@dataclass(frozen=True)
-class DynkinType:
-    """A diagram type: kind is classical, affine, or infinite."""
+class DynkinType(namedtuple("DynkinType", "kind family rank", defaults=(None,))):
+    """A diagram type: kind is classical, affine, or infinite; rank an int or None."""
 
-    kind: str
-    family: str
-    rank: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("classical", "affine", "infinite"):
-            raise ValueError(f"unknown kind {self.kind!r}")
+    def __new__(cls, kind: str, family: str, rank: int | None = None):
+        if kind not in ("classical", "affine", "infinite"):
+            raise ValueError(f"unknown kind {kind!r}")
+        return super().__new__(cls, kind, family, rank)
 
     def display(self) -> str:
         if self.kind == "infinite":
@@ -559,13 +558,10 @@ def _infinite_connected(adjacency: PresentedMatrix) -> bool:
 # -- classification -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Classification:
-    """Outcome of classify: a type (or None) plus an exact certificate."""
+class Classification(namedtuple("Classification", "kind dtype certificate")):
+    """Outcome of classify: a kind, a DynkinType (or None) and an exact certificate."""
 
-    kind: str  # classical | affine | infinite | unrecognized
-    dtype: DynkinType | None
-    certificate: dict
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -579,29 +575,46 @@ def _unrecognized(reason: str) -> Classification:
     return Classification("unrecognized", None, {"reason": reason})
 
 
+def _profiles(dense: list[list[int]]) -> tuple:
+    return tuple(sorted(_profile(dense, v) for v in range(len(dense))))
+
+
+@lru_cache(maxsize=16)
+def _finite_templates(n: int) -> dict[tuple, list[tuple[DynkinType, list[list[int]]]]]:
+    """(kind, _profiles) -> [(type, dense adjacency)] of the classical and
+    affine templates on n vertices, in template_types order."""
+    out: dict = {}
+    for dtype in template_types(n):
+        if dtype.kind != "infinite":
+            edges, count = _diagram(dtype)
+            if count == n:
+                dense = [[edges.get((i, j), 0) for j in range(n)] for i in range(n)]
+                out.setdefault((dtype.kind, _profiles(dense)), []).append((dtype, dense))
+    return out
+
+
 def _classify_finite(gcm: PresentedMatrix, adjacency: PresentedMatrix) -> Classification:
     n = gcm.index.size
     dense = adjacency.truncate(n)
     if n == 0 or len(reachable(0, undirected(adjacency, n))) != n:
         return _unrecognized("diagram is not connected")
+    neither = "neither positive definite nor a positive null vector"
+    # c_ij c_ji > 4 >= c_ii c_jj: {i, j} is not of finite type, so the GCM is no
+    # M-matrix (positive leading minors) and not affine (positive null vector;
+    # Kac, Thm 4.3 and Lemma 4.5; at n = 2 one forces c_11 c_22 = c_12 c_21).
+    # Answer before eliminating, whose cost grows with the entries' bit length.
+    if any(dense[i][j] * dense[j][i] > 4 for i in range(n) for j in range(i)):
+        return _unrecognized(neither)
     minors = leading_minors(dict(enumerate(row)) for row in gcm.truncate(n))
     if all(m > 0 for m in minors):
         kind, proof, certificate = "classical", "positive definite", {"minors": minors}
     else:
         null = find_positive_null_vector(gcm)
         if null is None:
-            return _unrecognized("neither positive definite nor a positive null vector")
+            return _unrecognized(neither)
         kind, proof = "affine", "positive null vector"
         certificate = {"null_vector": list(null.head)}
-    for dtype in template_types(n):
-        if dtype.kind != kind:
-            continue
-        edges, count = _diagram(dtype)
-        if count != n:
-            continue
-        candidate = [[0] * n for _ in range(n)]
-        for (i, j), v in edges.items():
-            candidate[i][j] = v
+    for dtype, candidate in _finite_templates(n).get((kind, _profiles(dense)), ()):
         if _digraph_isomorphic(dense, candidate):
             if kind == "classical":
                 certificate["coxeter_number"] = coxeter_number(dtype)

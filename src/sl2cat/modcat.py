@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, lru_cache
 from importlib import resources
 
@@ -50,20 +50,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModuleCategoryModel:
-    """An action matrix with its basis convention and a short origin note."""
+class ModuleCategoryModel(namedtuple("ModuleCategoryModel", "name basis f1 provenance",
+                                      defaults=("",))):
+    """An action matrix f1 in a basis, projectives or simples, and an origin note."""
 
-    name: str
-    basis: str  # "projectives" | "simples"
-    f1: PresentedMatrix
-    provenance: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.basis not in ("projectives", "simples"):
-            raise ValueError(f"unknown basis {self.basis!r}")
-        if not self.f1.is_nonnegative():
+    def __new__(cls, name: str, basis: str, f1: PresentedMatrix, provenance: str = ""):
+        if basis not in ("projectives", "simples"):
+            raise ValueError(f"unknown basis {basis!r}")
+        if not f1.is_nonnegative():
             raise ValueError("action matrix must be entrywise non-negative")
+        return super().__new__(cls, name, basis, f1, provenance)
 
     def projective_matrix(self) -> PresentedMatrix:
         return self.f1 if self.basis == "projectives" else self.f1.transpose()
@@ -383,15 +381,12 @@ def verify_catalog() -> dict:
 # -- case-dispatch predictions ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TypePrediction:
-    """Predicted diagram type(s) for one case of the dispatch tables."""
+class TypePrediction(namedtuple("TypePrediction", "table case types roles notes",
+                                 defaults=((), ""))):
+    """Predicted DynkinTypes, with roles, for one case (or None) of a dispatch
+    table: "weight-modules" or "subalgebra-restriction"."""
 
-    table: str  # "weight-modules" | "subalgebra-restriction"
-    case: str | None
-    types: tuple[DynkinType, ...]
-    roles: tuple[str, ...] = ()
-    notes: str = ""
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

@@ -40,7 +40,7 @@ search into "unknown".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heapify, heappop, heappush
 
 from .fusion import action, cg_support
@@ -59,13 +59,10 @@ class PreconditionFailed(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    status: str  # "SAT" | "UNSAT" | "unknown"
-    depth: int
-    schur_dim: int
-    witness: list | None
-    trace: list
+class ObstructionReport(namedtuple("ObstructionReport", "status depth schur_dim witness trace")):
+    """Status ("SAT", "UNSAT" or "unknown"), bounds, witness (or None) and trace."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

@@ -27,11 +27,10 @@ The weights of L(n) and the Clebsch-Gordan rule are read from
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping
 
 from .fusion import cg_support, weights
 from .kernels import Echelon
@@ -109,26 +108,25 @@ def tensor_in_O(n: int, v: OClassVector) -> OClassVector:
 _NAMED_RE = re.compile(r"^(L|P|Delta)\((-?\d+)\)$")
 
 
-@dataclass(frozen=True)
-class NamedOObject:
+class NamedOObject(namedtuple("NamedOObject", "kind weight")):
     """L(w), P(w) or Delta(w) with an integral weight, in canonical form.
 
     The antidominant simples L(w), w <= -1, coincide with their Vermas;
     P(-1) = L(-1), so the projective tag is reserved for w <= -2.
     """
 
-    kind: str
-    weight: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind == "L":
-            if self.weight > -1:
+    def __new__(cls, kind: str, weight: int):
+        if kind == "L":
+            if weight > -1:
                 raise ValueError("simple catalog objects need weight <= -1")
-        elif self.kind == "P":
-            if self.weight > -2:
+        elif kind == "P":
+            if weight > -2:
                 raise ValueError("the projective tag needs weight <= -2; P(-1) is L(-1)")
-        elif self.kind != "Delta":
-            raise ValueError(f"unknown tag {self.kind!r}")
+        elif kind != "Delta":
+            raise ValueError(f"unknown tag {kind!r}")
+        return super().__new__(cls, kind, weight)
 
     def display(self) -> str:
         return f"{self.kind}({self.weight})"
@@ -393,13 +391,11 @@ class SlCharacter(PresentedVector):
         }
 
 
-@dataclass(frozen=True)
-class RestrictionReport:
-    system: str
-    status: str
-    relations_checked: int
-    characters: dict[str, SlCharacter] = field(default_factory=dict)
-    freedom: str | None = None
+class RestrictionReport(namedtuple("RestrictionReport", "system status relations_checked"
+                                    " characters freedom", defaults=(None,))):
+    """Status, relations checked, characters by name and (if underdetermined) freedom."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         doc: dict = {
@@ -426,7 +422,7 @@ def _fit_periodic(values: list[int], period: int) -> SlCharacter:
     raise RuntimeError("truncated solution has no periodic-affine tail")
 
 
-class _System(NamedTuple):
+class _System(namedtuple("_System", "f1 step first_chain branches", defaults=(0, ()))):
     """A restriction system: its action matrix and its stated characters.
 
     Column j of ``f1`` lists the summands of object j tensored with the two
@@ -435,10 +431,7 @@ class _System(NamedTuple):
     has the character of the ladder n, n + step, n + 2 * step, ...
     """
 
-    f1: PresentedMatrix
-    step: int
-    first_chain: int = 0
-    branches: tuple[tuple[str, SlCharacter], ...] = ()
+    __slots__ = ()
 
     def object_of_chain(self, n: int) -> int:
         return len(self.branches) + n - self.first_chain
@@ -502,7 +495,7 @@ def _certify(name: str, system: _System, character: Callable[[int], SlCharacter]
     for j in range(count):
         terms = [character(i) for i, v in system.f1.col_entries(j) for _ in range(v)]
         if not terms or _A_INF.apply(character(j)) != reduce(PresentedVector.add, terms):
-            return RestrictionReport(name, "infeasible", solved_rows + j)
+            return RestrictionReport(name, "infeasible", solved_rows + j, {})
     shown = {system.object(i)[0]: character(i)
              for i in range(system.object_of_chain(_SHOWN_CHAIN) + 1)}
     return RestrictionReport(name, "consistent", solved_rows + count, shown)
@@ -555,7 +548,7 @@ def _solve_branches(name: str, system: _System, truncation: int) -> RestrictionR
     augmented = unknown * size
     echelon = Echelon({**row, augmented: val} for row, val in zip(rows, rhs))
     if augmented in echelon.pivots:
-        return RestrictionReport(name, "infeasible", len(rows))
+        return RestrictionReport(name, "infeasible", len(rows), {})
     if echelon.rank < augmented:
         return RestrictionReport(
             name, "underdetermined", len(rows), {},
@@ -565,7 +558,7 @@ def _solve_branches(name: str, system: _System, truncation: int) -> RestrictionR
     x = echelon.solution({augmented: -1})
     solution = [x[c] for c in range(augmented)]
     if any(v.denominator != 1 or v < 0 for v in solution):
-        return RestrictionReport(name, "infeasible", len(rows))
+        return RestrictionReport(name, "infeasible", len(rows), {})
     fitted = [_fit_periodic([int(v) for v in solution[b * size:(b + 1) * size]], _DINF_PERIOD)
               for b in range(unknown)]
 
@@ -635,11 +628,10 @@ def restriction_action_matrix(system: str) -> PresentedMatrix:
 # -- Jordan block oracle -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JordanPartition:
-    """Multiset of (block size, eigenvalue), sizes descending."""
+class JordanPartition(namedtuple("JordanPartition", "blocks")):
+    """Multiset of (block size, eigenvalue), sizes descending, as a tuple."""
 
-    blocks: tuple[tuple[int, Fraction], ...]
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"blocks": [[size, str(ev)] for size, ev in self.blocks]}

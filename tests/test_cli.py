@@ -5,7 +5,9 @@ import io
 import json
 import subprocess
 import sys
+from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,8 +18,11 @@ from referencing import Registry, Resource
 
 from sl2cat import modcat, oracles
 from sl2cat.cli import MAX_SIZE, MAX_UPTO, MAX_WINDOW, _print_json, main
-from sl2cat.dynkin import MAX_FINITE_RANK, DynkinType, gcm_of, template
-from sl2cat.presented import MAX_BAND, MAX_HEAD, PresentedMatrix
+from sl2cat.dynkin import MAX_FINITE_RANK, Classification, DynkinType, gcm_of, template
+from sl2cat.modcat import ModuleCategoryModel, TypePrediction
+from sl2cat.obstruction import ObstructionReport
+from sl2cat.oracles import JordanPartition, NamedOObject, RestrictionReport, SlCharacter, _System
+from sl2cat.presented import MAX_BAND, MAX_HEAD, IndexSet, PresentedMatrix
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "sl2cat" / "schemas"
 
@@ -377,7 +382,10 @@ def test_print_json_writes_the_bytes_of_the_indent_encoder(doc):
 
 
 def test_print_json_rejects_what_it_cannot_encode():
-    for doc in [{"a": [1, object()]}, {1: 2}, [{"a": 1}, {(1,): 2}]]:
+    # a record is a namedtuple, which json would write as a list of its fields
+    point = namedtuple("Point", "x y")(1, 2)
+    for doc in [{"a": [1, object()]}, {1: 2}, [{"a": 1}, {(1,): 2}], [point], {"p": point},
+                DynkinType("classical", "A", 3), {"o": NamedOObject("L", -1)}]:
         with pytest.raises(TypeError):
             _print_json(doc)
 
@@ -1058,3 +1066,77 @@ def test_installed_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "P(-1) + P(-1) + P(-3)"
+
+
+# -- records and import cost ---------------------------------------------------------------
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # a fresh interpreter: pytest itself imports these modules
+    src = str(Path(modcat.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            "import sl2cat.cli\n"
+            "from sl2cat import modcat\n"
+            "modcat.catalog_names()\n"
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
+_ONE = PresentedMatrix(IndexSet.finite(1), head={(0, 0): 1})
+_ONE_REPR = "PresentedMatrix(IndexSet.finite(1), head_size=1, head=[((0, 0), 1)], diagonals={})"
+_A3 = "DynkinType(kind='classical', family='A', rank=3)"
+
+# one factory per record, and the repr the record had as a frozen dataclass
+RECORDS = [
+    (lambda: DynkinType("classical", "A", 3), _A3),
+    (lambda: DynkinType("infinite", "Dinf"), "DynkinType(kind='infinite', family='Dinf', rank=None)"),
+    (lambda: Classification("classical", DynkinType("classical", "A", 3), {"minors": [2, 3, 4]}),
+     f"Classification(kind='classical', dtype={_A3}, certificate={{'minors': [2, 3, 4]}})"),
+    (lambda: ModuleCategoryModel("one", "simples", _ONE),
+     f"ModuleCategoryModel(name='one', basis='simples', f1={_ONE_REPR}, provenance='')"),
+    (lambda: TypePrediction("weight-modules", "a", (DynkinType("infinite", "Ainfinf"),)),
+     "TypePrediction(table='weight-modules', case='a', types=(DynkinType(kind='infinite',"
+     " family='Ainfinf', rank=None),), roles=(), notes='')"),
+    (lambda: ObstructionReport("SAT", 2, 1, [[1]], []),
+     "ObstructionReport(status='SAT', depth=2, schur_dim=1, witness=[[1]], trace=[])"),
+    (lambda: NamedOObject("P", -3), "NamedOObject(kind='P', weight=-3)"),
+    (lambda: RestrictionReport("takiff", "infeasible", 4, {}),
+     "RestrictionReport(system='takiff', status='infeasible', relations_checked=4,"
+     " characters={}, freedom=None)"),
+    (lambda: JordanPartition(((2, Fraction(1, 2)),)), "JordanPartition(blocks=((2, Fraction(1, 2)),))"),
+    (lambda: _System(_ONE, 1, 1, (("b", SlCharacter.mod_class(0, 4)),)),
+     f"_System(f1={_ONE_REPR}, step=1, first_chain=1, branches=(('b', SlCharacter(IndexSet.nat(),"
+     " head=[], tails=[(0, 1), (0, 0), (0, 0), (0, 0)])),))"),
+]
+
+
+@pytest.mark.parametrize("make, shown", RECORDS)
+def test_records_keep_their_contract(make, shown):
+    a, b = make(), make()
+    assert a == b and repr(a) == shown
+    try:
+        assert hash(a) == hash(b)
+    except TypeError:  # a list or dict field, as with the dataclasses
+        with pytest.raises(TypeError):
+            hash(b)
+    for name in (shown.split("(", 1)[1].split("=", 1)[0], "extra"):  # the first field
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    assert a == b
+
+
+def test_record_validators_raise_value_error():
+    for make, message in [
+        (lambda: DynkinType("bogus", "A", 3), "unknown kind 'bogus'"),
+        (lambda: ModuleCategoryModel("m", "weights", _ONE), "unknown basis 'weights'"),
+        (lambda: ModuleCategoryModel("m", "simples", _ONE.scale(-1)),
+         "action matrix must be entrywise non-negative"),
+        (lambda: NamedOObject("L", 0), "simple catalog objects need weight <= -1"),
+        (lambda: NamedOObject("P", -1), "the projective tag needs weight <= -2; P(-1) is L(-1)"),
+        (lambda: NamedOObject("X", -1), "unknown tag 'X'"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+

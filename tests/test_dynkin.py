@@ -24,6 +24,7 @@ from sl2cat.dynkin import (
     validate_gcm,
 )
 from sl2cat.fusion import r_poly
+from sl2cat.kernels import leading_minors
 from sl2cat.presented import IndexSet, PresentedMatrix, PresentedVector
 
 import refimpl
@@ -315,6 +316,41 @@ def test_unrecognized_outcomes():
     assert "connected" in disconnected.certificate["reason"]
     even_lattice = classify(PresentedMatrix(IndexSet.int_(), diagonals={0: 2, -2: -1, 2: -1}))
     assert even_lattice.kind == "unrecognized"
+
+
+NEITHER = {"reason": "neither positive definite nor a positive null vector"}
+
+
+def test_a_huge_bond_answers_without_elimination(time_limit):
+    # elimination on entries near -10**6 took 24.6 s at this rank
+    rng = random.Random(7)
+    n = 100
+    rows = [[2 if i == j else rng.choice((-10**6, -999_999)) for j in range(n)] for i in range(n)]
+    gcm = finite_gcm(rows)
+    with time_limit(2.0):
+        result = classify(gcm)
+    assert (result.kind, result.certificate) == ("unrecognized", NEITHER)
+
+
+def test_a_huge_bond_gives_the_answer_of_the_full_route():
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        rows = [[rng.choice((2, 2, 2, 1, 0)) if i == j else 0 for j in range(n)]
+                for i in range(n)]
+        order = rng.sample(range(n), n)
+        pairs = list(zip(order, order[1:]))  # a spanning path keeps it connected
+        pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, n))]
+        for i, j in pairs:
+            rows[i][j], rows[j][i] = rng.randint(-3, -1), rng.randint(-3, -1)
+        i, j = rng.sample(range(n), 2)
+        rows[i][j], rows[j][i] = rng.choice([(-1, -5), (-5, -1), (-3, -2), (-2, -3), (-3, -3),
+                                             (-1, -7), (-6, -4)])
+        gcm = finite_gcm(rows)
+        assert not all(m > 0 for m in leading_minors(dict(enumerate(r)) for r in rows)), rows
+        assert find_positive_null_vector(gcm) is None, rows
+        result = classify(gcm)
+        assert (result.kind, result.certificate) == ("unrecognized", NEITHER), rows
 
 
 def test_classify_components_of_a_disconnected_gcm():
