@@ -62,6 +62,10 @@ class DynkinType(namedtuple("DynkinType", "kind family rank", defaults=(None,)))
             raise ValueError(f"unknown kind {kind!r}")
         return super().__new__(cls, kind, family, rank)
 
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here: check as the constructor does
+        return cls(*iterable)
+
     def display(self) -> str:
         if self.kind == "infinite":
             return _INFINITE_DISPLAY[self.family]

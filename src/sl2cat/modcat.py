@@ -63,6 +63,10 @@ class ModuleCategoryModel(namedtuple("ModuleCategoryModel", "name basis f1 prove
             raise ValueError("action matrix must be entrywise non-negative")
         return super().__new__(cls, name, basis, f1, provenance)
 
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here: check as the constructor does
+        return cls(*iterable)
+
     def projective_matrix(self) -> PresentedMatrix:
         return self.f1 if self.basis == "projectives" else self.f1.transpose()
 

@@ -14,8 +14,16 @@ must satisfy:
   * a module whose top (or socle) is everything is semisimple, so the
     other side is everything as well (applied up to length four).
 
+Each unknown multiplicity is an integer variable: the n-th composition
+factor [F_a S_j : S_k] has variable 2n for its top and 2n + 1 for its
+socle multiplicity, with interval domains in two flat lists.  Rules read
+variables by id; the (side, a, j, k) key of an id is read only to name it
+in a trace, and a witness is read off in variable order.  A rule keeps
+its identity as a compact spec, and the event dict is rendered from it
+only when a traced narrowing is recorded or a violation reported.
+
 Each identity is one rule: an adjunction pair is built once, when its
-first key is visited, and a simple module, whose top and socle are
+first factor is visited, and a simple module, whose top and socle are
 pinned before any rule exists, gets no nonzero rule.  One setup serves
 both answers.  On a symmetric F_1 the semisimple witness (top = socle =
 all factors) is pinned untraced and every rule runs once on it; if one
@@ -32,8 +40,8 @@ after a variable it reads narrows, in the current sweep if it comes later
 in rule order and in the next sweep otherwise, so the events are those of
 repeated full sweeps in rule order.  Narrowings go on a trail, and the
 iterative depth-first search undoes a failed branch by popping the trail
-and branches on the narrowest open key from a heap that the trail keeps
-current (both as in MiniSat).  Depth is capped at MAX_DEPTH = 32 by
+and branches on the narrowest open variable, lowest id first, from a heap
+that the trail keeps current (both as in MiniSat).  Depth is capped at MAX_DEPTH = 32 by
 default; the node budget (100,000 branches by default) turns an exhausted
 search into "unknown".
 """
@@ -75,9 +83,52 @@ class ObstructionReport(namedtuple("ObstructionReport", "status depth schur_dim 
 
 
 class _Violation(Exception):
-    def __init__(self, event: dict):
-        super().__init__(event.get("identity", "violation"))
-        self.event = event
+    """A rule's identity fails; ``event`` renders its spec only when read."""
+
+    def __init__(self, spec: tuple):
+        super().__init__(spec[0])
+        self.spec = spec
+
+    @property
+    def event(self) -> dict:
+        return {**_event(self.spec), "status": "violated"}
+
+
+def _event(spec: tuple) -> dict:
+    """The trace event of a rule's identity spec: its constraint, then fields.
+
+    A spec with no fields (a branch, the witness pins) renders as the bare
+    constraint.
+    """
+    constraint, *fields = spec
+    if constraint == "length-one":
+        a, j, k = fields
+        return {"constraint": constraint, "degree": a, "object": j, "factor": k,
+                "identity": f"F_{a} S_{j} is simple, equal to S_{k}"}
+    if constraint == "adjunction":
+        a, j, k, word = fields
+        dual = "socle" if word == "top" else "top"
+        return {"constraint": constraint, "degree": a, "object": j, "factor": k,
+                "identity": f"[{word} F_{a} S_{j} : S_{k}] = [{dual} F_{a} S_{k} : S_{j}]"}
+    if constraint == "end-dim":
+        a, j, word, schur_dim = fields
+        terms = " + ".join(f"[{word} F_{c} S_{j} : S_{j}]" for c in cg_support(a, a))
+        return {"constraint": constraint, "degree": a, "object": j, "side": word,
+                "identity": f"dim End(F_{a} S_{j}) = {terms} = {schur_dim}"}
+    if constraint == "nonzero":
+        a, j, word = fields
+        return {"constraint": constraint, "degree": a, "object": j, "side": word,
+                "identity": f"{word} of F_{a} S_{j} is nonzero"}
+    if constraint == "covering":
+        a, j, k, mult = fields
+        return {"constraint": constraint, "degree": a, "object": j, "factor": k,
+                "identity": f"[top F_{a} S_{j} : S_{k}] + [socle F_{a} S_{j} : S_{k}] >= {mult}"}
+    if constraint == "semisimple-closure":
+        a, j = fields
+        return {"constraint": constraint, "degree": a, "object": j,
+                "identity": (f"top of F_{a} S_{j} equals all factors iff socle does"
+                             " (semisimplicity)")}
+    return {"constraint": constraint}
 
 
 def _var_name(key: tuple) -> str:
@@ -87,102 +138,110 @@ def _var_name(key: tuple) -> str:
 
 
 class _State:
-    """Interval domains, a trail of narrowings and an optional event trace."""
+    """Interval domains on integer variables, a trail and an optional trace.
 
-    def __init__(self, domains: dict, trace: list | None):
-        self.domains = domains
+    Variable v has the domain [lo[v], hi[v]] and stands for keys[v], a
+    (side, a, j, k) tuple read only to name it in a trace.
+    """
+
+    def __init__(self, keys: list, lo: list, hi: list, trace: list | None):
+        self.keys, self.lo, self.hi = keys, lo, hi
         self.trace = trace
-        self.trail: list[tuple] = []  # (key, old lo, old hi), undone by undo()
+        self.trail: list[tuple] = []  # (v, old lo, old hi), undone by undo()
 
-    def narrow(self, key: tuple, lo: int, hi: int, event: dict) -> None:
-        cur = self.domains[key]
-        new_lo, new_hi = max(cur[0], lo), min(cur[1], hi)
-        if (new_lo, new_hi) == (cur[0], cur[1]):
+    def narrow(self, v: int, lo: int, hi: int, spec: tuple) -> None:
+        old_lo, old_hi = self.lo[v], self.hi[v]
+        if lo <= old_lo and hi >= old_hi:
             return
-        self.trail.append((key, cur[0], cur[1]))
-        cur[0], cur[1] = new_lo, new_hi
-        if new_lo > new_hi:
-            raise _Violation({**event, "status": "violated"})
+        self.trail.append((v, old_lo, old_hi))
+        if lo < old_lo:
+            lo = old_lo
+        if hi > old_hi:
+            hi = old_hi
+        self.lo[v], self.hi[v] = lo, hi
+        if lo > hi:
+            raise _Violation(spec)
         if self.trace is not None:
-            pinned = {"variable": _var_name(key), "value": new_lo} if new_lo == new_hi \
-                else {"variable": _var_name(key), "range": [new_lo, new_hi]}
-            self.trace.append({**event, "status": "established", "pinned": pinned})
+            name = _var_name(self.keys[v])
+            pinned = {"variable": name, "value": lo} if lo == hi \
+                else {"variable": name, "range": [lo, hi]}
+            self.trace.append({**_event(spec), "status": "established", "pinned": pinned})
 
     def undo(self, mark: int) -> None:
-        trail = self.trail
-        while len(trail) > mark:
-            key, lo, hi = trail.pop()
-            self.domains[key][:] = lo, hi
+        lo, hi, trail = self.lo, self.hi, self.trail
+        for v, old_lo, old_hi in reversed(trail[mark:]):
+            lo[v], hi[v] = old_lo, old_hi
+        del trail[mark:]
 
-    def value(self, key: tuple) -> int | None:
-        lo, hi = self.domains[key]
-        return lo if lo == hi else None
+    def value(self, v: int) -> int | None:
+        lo = self.lo[v]
+        return lo if lo == self.hi[v] else None
 
 
-def _rule_equal(x: tuple, y: tuple, event: dict):
+def _rule_equal(x: int, y: int, spec: tuple):
     def run(state: _State) -> None:
-        dx, dy = state.domains[x], state.domains[y]
-        lo, hi = max(dx[0], dy[0]), min(dx[1], dy[1])
-        state.narrow(x, lo, hi, event)
-        state.narrow(y, lo, hi, event)
-    run.keys = (x, y)
+        lo, hi = state.lo, state.hi
+        if lo[x] != lo[y] or hi[x] != hi[y]:  # equal domains narrow nothing
+            new_lo, new_hi = max(lo[x], lo[y]), min(hi[x], hi[y])
+            state.narrow(x, new_lo, new_hi, spec)
+            state.narrow(y, new_lo, new_hi, spec)
+    run.ids = (x, y)
     return run
 
 
-def _bound_sum(state: _State, keys: list, low: int, high: int | None, event: dict) -> None:
-    """Narrow each key so that low <= sum(keys) <= high (None: no upper bound)."""
-    lows = [state.domains[k][0] for k in keys]
-    highs = [state.domains[k][1] for k in keys]
+def _bound_sum(state: _State, ids: list, low: int, high: int | None, spec: tuple) -> None:
+    """Narrow each variable so that low <= sum(ids) <= high (None: no upper bound)."""
+    lows = [state.lo[v] for v in ids]
+    highs = [state.hi[v] for v in ids]
     sum_lo, sum_hi = sum(lows), sum(highs)
     if high is None:
         high = sum_hi  # never binds
     if sum_lo > high or sum_hi < low:
-        raise _Violation({**event, "status": "violated"})
-    for key, lo, hi in zip(keys, lows, highs):
-        state.narrow(key, low - (sum_hi - hi), high - (sum_lo - lo), event)
+        raise _Violation(spec)
+    for v, lo, hi in zip(ids, lows, highs):
+        state.narrow(v, low - (sum_hi - hi), high - (sum_lo - lo), spec)
 
 
-def _rule_sum(keys: list, low: int, high: int | None, event: dict):
+def _rule_sum(ids: list, low: int, high: int | None, spec: tuple):
     def run(state: _State) -> None:
-        _bound_sum(state, keys, low, high, event)
-    run.keys = tuple(keys)
+        _bound_sum(state, ids, low, high, spec)
+    run.ids = tuple(ids)
     return run
 
 
-def _rule_semisimple(t_keys: list, s_keys: list, comp: dict, order: list, length: int, event: dict):
+def _rule_semisimple(t_ids: list, s_ids: list, mults: list, length: int, spec: tuple):
     # top equals everything <=> the module is semisimple <=> socle equals
     # everything; propagated in both directions, including the contrapositive
     def run(state: _State) -> None:
-        t_lo = sum(state.domains[k][0] for k in t_keys)
-        s_lo = sum(state.domains[k][0] for k in s_keys)
-        if t_lo == length:
-            for k, kk in zip(s_keys, order):
-                state.narrow(k, comp[kk], comp[kk], event)
-        if s_lo == length:
-            for k, kk in zip(t_keys, order):
-                state.narrow(k, comp[kk], comp[kk], event)
-        if any(state.domains[k][1] < comp[kk] for k, kk in zip(s_keys, order)):
-            _bound_sum(state, t_keys, 0, length - 1, event)
-        if any(state.domains[k][1] < comp[kk] for k, kk in zip(t_keys, order)):
-            _bound_sum(state, s_keys, 0, length - 1, event)
-    run.keys = (*t_keys, *s_keys)
+        lo, hi = state.lo, state.hi
+        if sum(lo[v] for v in t_ids) == length:
+            for v, mult in zip(s_ids, mults):
+                state.narrow(v, mult, mult, spec)
+        if sum(lo[v] for v in s_ids) == length:
+            for v, mult in zip(t_ids, mults):
+                state.narrow(v, mult, mult, spec)
+        if any(hi[v] < mult for v, mult in zip(s_ids, mults)):
+            _bound_sum(state, t_ids, 0, length - 1, spec)
+        if any(hi[v] < mult for v, mult in zip(t_ids, mults)):
+            _bound_sum(state, s_ids, 0, length - 1, spec)
+    run.ids = (*t_ids, *s_ids)
     return run
 
 
-def _watch_index(rules: list, keys) -> dict:
-    """key -> ascending indices of the rules that read it."""
-    watch = {key: [] for key in keys}
+def _watch_index(rules: list, count: int) -> list[list[int]]:
+    """Variable -> ascending indices of the rules that read it."""
+    watch: list[list[int]] = [[] for _ in range(count)]
     for idx, rule in enumerate(rules):
-        for key in rule.keys:
-            watch[key].append(idx)
+        for v in rule.ids:
+            watch[v].append(idx)
     return watch
 
 
-def _propagate(state: _State, rules: list, watch: dict, seed) -> None:
-    """Run rules to a fixpoint, re-running only those whose keys narrowed.
+def _propagate(state: _State, rules: list, watch: list, seed) -> None:
+    """Run rules to a fixpoint, re-running only those whose variables narrowed.
 
-    A skipped rule reads only keys unchanged since a run of it that changed
-    nothing, so it would change nothing again.
+    A skipped rule reads only variables unchanged since a run of it that
+    changed nothing, so it would change nothing again.
     """
     trail = state.trail
     current, later = bytearray(len(rules)), bytearray(len(rules))  # 1 = queued
@@ -193,8 +252,8 @@ def _propagate(state: _State, rules: list, watch: dict, seed) -> None:
         current[idx] = 0
         mark = len(trail)
         rules[idx](state)
-        for key, _, _ in trail[mark:]:
-            for r in watch[key]:
+        for v, _, _ in trail[mark:]:
+            for r in watch[v]:
                 if r > idx:
                     current[r] = 1
                 else:
@@ -235,176 +294,157 @@ def _objects_of(comps: dict) -> list[int]:
     return sorted({j for _, j in comps})
 
 
-def _witness_from(state: _State, comps: dict, depth: int) -> list:
-    out = []
-    for a in range(1, depth + 1):
-        for j in _objects_of(comps):
-            comp = comps[(a, j)]
-            top = {str(k): state.value(("t", a, j, k)) for k in sorted(comp)}
-            soc = {str(k): state.value(("s", a, j, k)) for k in sorted(comp)}
-            out.append({"degree": a, "object": j,
-                        "top": {k: v for k, v in top.items() if v},
-                        "socle": {k: v for k, v in soc.items() if v}})
+def _witness_from(state: _State, comps: dict) -> list:
+    """Top and socle factors of each F_a S_j with a >= 1, in variable order."""
+    out, v = [], 0
+    for (a, j), comp in comps.items():
+        top, soc = {}, {}
+        for k in comp:
+            t, s = state.value(v), state.value(v + 1)
+            if t:
+                top[str(k)] = t
+            if s:
+                soc[str(k)] = s
+            v += 2
+        if a:
+            out.append({"degree": a, "object": j, "top": top, "socle": soc})
     return out
 
 
 def _fresh_state(comps: dict, trace: list | None) -> _State:
-    """Degree 0 is the identity functor; F_a S_j for a >= 1 starts open."""
-    domains = {}
+    """Degree 0 is the identity functor; F_a S_j for a >= 1 starts open.
+
+    The n-th factor [F_a S_j : S_k] in comps order gets variable 2n for
+    its top multiplicity and 2n + 1 for its socle multiplicity.
+    """
+    keys, lo, hi = [], [], []
     for (a, j), comp in comps.items():
         for k, mult in comp.items():
-            if a == 0:
-                domains[("t", a, j, k)] = [mult, mult]
-                domains[("s", a, j, k)] = [mult, mult]
-            else:
-                domains[("t", a, j, k)] = [0, mult]
-                domains[("s", a, j, k)] = [0, mult]
-    return _State(domains, trace)
+            floor = mult if a == 0 else 0
+            keys += (("t", a, j, k), ("s", a, j, k))
+            lo += (floor, floor)
+            hi += (mult, mult)
+    return _State(keys, lo, hi, trace)
 
 
 def _build_rules(comps: dict, depth: int, schur_dim: int, state: _State) -> list:
+    # (a, j, k) -> the top variable of [F_a S_j : S_k]; the socle one is next
+    top = {key: 2 * n for n, key in enumerate(
+        (a, j, k) for (a, j), comp in comps.items() for k in comp)}
     rules = []
     # length-one modules are simple: top = socle = the single factor
     for (a, j), comp in comps.items():
         if a == 0 or sum(comp.values()) != 1:
             continue
         k = next(iter(comp))
-        event = {
-            "constraint": "length-one", "degree": a, "object": j, "factor": k,
-            "identity": f"F_{a} S_{j} is simple, equal to S_{k}",
-        }
-        state.narrow(("t", a, j, k), 1, 1, event)
-        state.narrow(("s", a, j, k), 1, 1, event)
+        spec = ("length-one", a, j, k)
+        state.narrow(top[(a, j, k)], 1, 1, spec)
+        state.narrow(top[(a, j, k)] + 1, 1, 1, spec)
 
     # self-adjunction: [top F_a S_j : S_k] = [socle F_a S_k : S_j]
+    # one rule per pair: built at (j, k) with j < k, or on the top side if j == k
     objects = _objects_of(comps)
     for a in range(1, depth + 1):
         for j in objects:
-            comp = comps[(a, j)]
-            for k in comp:
-                if (a, k) not in comps:
+            for k in comps[(a, j)]:
+                mirror = comps.get((a, k))
+                if mirror is None:
                     continue
-                mirror = comps[(a, k)]
-                for side, word, dual, dual_word in (("t", "top", "s", "socle"),
-                                                    ("s", "socle", "t", "top")):
-                    if j in mirror and (k < j or (k == j and side == "s")):
-                        continue  # one rule per pair: built at (k, j) or on the top side
-                    event = {
-                        "constraint": "adjunction", "degree": a, "object": j, "factor": k,
-                        "identity": (f"[{word} F_{a} S_{j} : S_{k}]"
-                                     f" = [{dual_word} F_{a} S_{k} : S_{j}]"),
-                    }
-                    if j in mirror:
-                        rules.append(_rule_equal((side, a, j, k), (dual, a, k, j), event))
-                    else:
-                        state.narrow((side, a, j, k), 0, 0, event)
+                v = top[(a, j, k)]
+                if j not in mirror:  # no dual factor: both sides are zero
+                    state.narrow(v, 0, 0, ("adjunction", a, j, k, "top"))
+                    state.narrow(v + 1, 0, 0, ("adjunction", a, j, k, "socle"))
+                elif j < k:
+                    w = top[(a, k, j)]
+                    rules.append(_rule_equal(v, w + 1, ("adjunction", a, j, k, "top")))
+                    rules.append(_rule_equal(v + 1, w, ("adjunction", a, j, k, "socle")))
+                elif j == k:
+                    rules.append(_rule_equal(v, v + 1, ("adjunction", a, j, k, "top")))
 
     # endomorphism dimension of a simple image, written through adjunction:
     # dim End(F_a S_j) = sum over c in CG(a,a) of [socle F_c S_j : S_j]
     # and dually with tops
-    for a in range(1, depth + 1):
-        if 2 * a > depth:
-            continue
+    for a in range(1, depth // 2 + 1):
+        support = cg_support(a, a)
         for j in objects:
-            comp = comps[(a, j)]
-            if sum(comp.values()) != 1:
+            if sum(comps[(a, j)].values()) != 1:
                 continue
-            support = cg_support(a, a)
-            for side, word in (("s", "socle"), ("t", "top")):
-                keys = [(side, c, j, j) for c in support if j in comps[(c, j)]]
-                terms = " + ".join(f"[{word} F_{c} S_{j} : S_{j}]" for c in support)
-                event = {
-                    "constraint": "end-dim", "degree": a, "object": j, "side": word,
-                    "identity": f"dim End(F_{a} S_{j}) = {terms} = {schur_dim}",
-                }
-                rules.append(_rule_sum(keys, schur_dim, schur_dim, event))
+            for side, word in ((1, "socle"), (0, "top")):
+                ids = [top[(c, j, j)] + side for c in support if j in comps[(c, j)]]
+                rules.append(_rule_sum(ids, schur_dim, schur_dim,
+                                       ("end-dim", a, j, word, schur_dim)))
 
     for (a, j), comp in comps.items():
         if a == 0:
             continue
         length = sum(comp.values())
-        t_keys = [("t", a, j, k) for k in sorted(comp)]
-        s_keys = [("s", a, j, k) for k in sorted(comp)]
+        t_ids = [top[(a, j, k)] for k in comp]  # comp is ascending in k
+        s_ids = [v + 1 for v in t_ids]
         if 2 <= length <= 4:
             # nonzero module: nonzero top and socle (a simple one is pinned above)
-            for keys, word in ((t_keys, "top"), (s_keys, "socle")):
-                event = {
-                    "constraint": "nonzero", "degree": a, "object": j, "side": word,
-                    "identity": f"{word} of F_{a} S_{j} is nonzero",
-                }
-                rules.append(_rule_sum(keys, 1, None, event))
+            for ids, word in ((t_ids, "top"), (s_ids, "socle")):
+                rules.append(_rule_sum(ids, 1, None, ("nonzero", a, j, word)))
         if length == 2:
             # every factor of a length-two module lies in its top or socle
-            for k in comp:
-                event = {
-                    "constraint": "covering", "degree": a, "object": j, "factor": k,
-                    "identity": (f"[top F_{a} S_{j} : S_{k}] + [socle F_{a} S_{j} : S_{k}]"
-                                 f" >= {comp[k]}"),
-                }
-                rules.append(_rule_sum([("t", a, j, k), ("s", a, j, k)], comp[k], None, event))
+            for (k, mult), v in zip(comp.items(), t_ids):
+                rules.append(_rule_sum([v, v + 1], mult, None, ("covering", a, j, k, mult)))
         if 2 <= length <= 4:
-            order = sorted(comp)
-            event = {
-                "constraint": "semisimple-closure", "degree": a, "object": j,
-                "identity": (f"top of F_{a} S_{j} equals all factors iff socle does"
-                             " (semisimplicity)"),
-            }
-            rules.append(_rule_semisimple(t_keys, s_keys, comp, order, length, event))
+            rules.append(_rule_semisimple(t_ids, s_ids, list(comp.values()), length,
+                                          ("semisimple-closure", a, j)))
     return rules
 
 
-def _open_top(heap: list, domains: dict, keys: list) -> tuple | None:
-    """The open key of smallest width, first in dict order; None if all pinned.
+def _open_top(heap: list, lo: list, hi: list) -> int | None:
+    """The open variable of smallest width, lowest id first; None if all pinned.
 
-    Heap entries are (width, dict position); an entry whose width is no
-    longer its key's width is stale and is popped when it reaches the top.
+    Heap entries are (width, id); an entry whose width is no longer its
+    variable's width is stale and is popped when it reaches the top.
     """
     while heap:
-        width, pos = heap[0]
-        lo, hi = domains[keys[pos]]
-        if hi - lo == width:
-            return keys[pos]
+        width, v = heap[0]
+        if hi[v] - lo[v] == width:
+            return v
         heappop(heap)
     return None
 
 
-def _search(state: _State, rules: list, watch: dict, budget: int) -> bool:
+_BRANCH = ("branch",)
+
+
+def _search(state: _State, rules: list, watch: list, budget: int) -> bool:
     """Depth-first search from a fixpoint, leaving a solution in ``state``.
 
-    Frames are [key, next value, last value, trail mark].  The branch key
-    comes from a heap of the open keys (MiniSat's decision heap, Een and
-    Sorensson 2003) that the trail keeps current: every key that a branch
-    narrows, or an undo widens again, is pushed with its new width.  False
-    when exhausted; TimeoutError when the ``budget``-th branch is reached.
+    Frames are [variable, next value, last value, trail mark].  The branch
+    variable comes from a heap of the open ones (MiniSat's decision heap,
+    Een and Sorensson 2003) that the trail keeps current: every variable
+    that a branch narrows, or an undo widens again, is pushed with its new
+    width.  False when exhausted; TimeoutError when the ``budget``-th
+    branch is reached.
     """
-    domains, trail = state.domains, state.trail
-    keys = list(domains)
-    position = {key: pos for pos, key in enumerate(keys)}
-    heap = [(hi - lo, pos) for pos, (lo, hi) in enumerate(domains.values()) if lo < hi]
+    lo, hi, trail = state.lo, state.hi, state.trail
+    heap = [(h - l, v) for v, (l, h) in enumerate(zip(lo, hi)) if l < h]
     heapify(heap)
 
     def push(changed: list) -> None:
-        for key, _, _ in changed:
-            lo, hi = domains[key]
-            if lo < hi:
-                heappush(heap, (hi - lo, position[key]))
+        for v, _, _ in changed:
+            if lo[v] < hi[v]:
+                heappush(heap, (hi[v] - lo[v], v))
 
     stack: list[list] = []
     while True:
-        key = _open_top(heap, domains, keys)
-        if key is None:
+        v = _open_top(heap, lo, hi)
+        if v is None:
             return True
-        lo, hi = domains[key]
-        stack.append([key, lo, hi, len(trail)])
+        stack.append([v, lo[v], hi[v], len(trail)])
         while True:  # next value of the deepest frame that has one left
             if not stack:
                 return False
             frame = stack[-1]
-            key, value, hi, mark = frame
+            v, value, last, mark = frame
             undone = trail[mark:]
             state.undo(mark)
             push(undone)
-            if value > hi:
+            if value > last:
                 stack.pop()
                 continue
             frame[1] = value + 1
@@ -412,12 +452,15 @@ def _search(state: _State, rules: list, watch: dict, budget: int) -> bool:
             if budget <= 0:
                 raise TimeoutError
             try:
-                state.narrow(key, value, value, {"constraint": "branch"})
-                _propagate(state, rules, watch, watch[key])
+                state.narrow(v, value, value, _BRANCH)
+                _propagate(state, rules, watch, watch[v])
             except _Violation:
                 continue
             push(trail[mark:])
             break
+
+
+_WITNESS = ("witness",)
 
 
 def solve_feasibility(f1: PresentedMatrix, depth: int, schur_dim: int = 1,
@@ -439,13 +482,13 @@ def solve_feasibility(f1: PresentedMatrix, depth: int, schur_dim: int = 1,
             # untraced; every variable is pinned, so one run of each rule decides
             mark, state.trace = len(state.trail), None
             try:
-                for (a, j), comp in comps.items():
-                    for k, mult in comp.items():
-                        state.narrow(("t", a, j, k), mult, mult, {"constraint": "witness"})
-                        state.narrow(("s", a, j, k), mult, mult, {"constraint": "witness"})
+                factors = [mult for comp in comps.values() for mult in comp.values()]
+                for n, mult in enumerate(factors):
+                    state.narrow(2 * n, mult, mult, _WITNESS)
+                    state.narrow(2 * n + 1, mult, mult, _WITNESS)
                 for rule in rules:
                     rule(state)
-                witness = _witness_from(state, comps, depth)
+                witness = _witness_from(state, comps)
                 return ObstructionReport("SAT", depth, schur_dim, witness, [{
                     "constraint": "semisimple-witness", "status": "established",
                     "identity": "the action matrix is symmetric; top = socle = all factors",
@@ -453,7 +496,7 @@ def solve_feasibility(f1: PresentedMatrix, depth: int, schur_dim: int = 1,
             except _Violation:  # fall through to the general engine
                 state.undo(mark)
                 state.trace = trace
-        watch = _watch_index(rules, state.domains)
+        watch = _watch_index(rules, len(state.lo))
         _propagate(state, rules, watch, range(len(rules)))
     except _Violation as exc:
         return ObstructionReport("UNSAT", depth, schur_dim, None, trace + [exc.event])
@@ -468,5 +511,4 @@ def solve_feasibility(f1: PresentedMatrix, depth: int, schur_dim: int = 1,
         trace.append({"constraint": "search", "status": "violated",
                       "identity": "no assignment survives exhaustive search"})
         return ObstructionReport("UNSAT", depth, schur_dim, None, trace)
-    return ObstructionReport("SAT", depth, schur_dim,
-                             _witness_from(state, comps, depth), trace)
+    return ObstructionReport("SAT", depth, schur_dim, _witness_from(state, comps), trace)

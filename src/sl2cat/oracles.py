@@ -85,6 +85,9 @@ def verma(weight: int, coset: bool = False) -> OClassVector:
 MAX_TENSOR_WEIGHT = 10_000
 #: largest size n of the Jordan cell of the Jordan oracle, whose work is linear in n
 MAX_JORDAN_N = 10_000
+#: largest truncation of the restriction solver; the assumed forked system
+#: writes about T^2 equations, and at the cap every system answers within a second
+MAX_TRUNCATION = 320
 
 
 def tensor_in_O(n: int, v: OClassVector) -> OClassVector:
@@ -127,6 +130,10 @@ class NamedOObject(namedtuple("NamedOObject", "kind weight")):
         elif kind != "Delta":
             raise ValueError(f"unknown tag {kind!r}")
         return super().__new__(cls, kind, weight)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here: check as the constructor does
+        return cls(*iterable)
 
     def display(self) -> str:
         return f"{self.kind}({self.weight})"
@@ -505,11 +512,14 @@ def _relation_rows(system: _System, count: int, unknown: int, size: int,
                    ) -> tuple[list[dict[int, int]], list[int]]:
     """Coefficient-level equations for the relations of objects 0..count-1.
 
-    The characters of objects 0..unknown-1 are unknown flat coefficient
-    vectors on indices 0..size-1, object i at columns i * size onwards;
-    the other objects keep their stated characters.  Each relation
-    contributes one equation per index at which every term is determined
-    by the window.  Rows are sparse ``{column: coefficient}`` maps.
+    The characters of objects 0..unknown-1 are unknown coefficient
+    vectors on indices 0..size-1, numbered index-major: the coefficient of
+    L(k) in object i is column k * unknown + i.  Each equation reads
+    indices k - 1 .. k + 1 only, so its columns lie in a band of width
+    3 * unknown and elimination stays linear in the window.  The other
+    objects keep their stated characters.  Each relation contributes one
+    equation per index at which every term is determined by the window.
+    Rows are sparse ``{column: coefficient}`` maps.
     """
     rows: list[dict[int, int]] = []
     rhs: list[int] = []
@@ -526,7 +536,7 @@ def _relation_rows(system: _System, count: int, unknown: int, size: int,
             acc = 0
             for i, idx, sign in terms:
                 if i < unknown:
-                    col = i * size + idx
+                    col = idx * unknown + i
                     row[col] = row.get(col, 0) + sign
                 else:
                     acc -= sign * known[i].entry(idx)
@@ -542,7 +552,7 @@ def _solve_branches(name: str, system: _System, truncation: int) -> RestrictionR
     unknown = len(system.branches)
     rows, rhs = _relation_rows(system, count, unknown, size)
     # normalization: the second branch character avoids the trivial simple
-    rows.append({size: 1})
+    rows.append({1: 1})
     rhs.append(0)
 
     augmented = unknown * size
@@ -559,7 +569,7 @@ def _solve_branches(name: str, system: _System, truncation: int) -> RestrictionR
     solution = [x[c] for c in range(augmented)]
     if any(v.denominator != 1 or v < 0 for v in solution):
         return RestrictionReport(name, "infeasible", len(rows), {})
-    fitted = [_fit_periodic([int(v) for v in solution[b * size:(b + 1) * size]], _DINF_PERIOD)
+    fitted = [_fit_periodic([int(v) for v in solution[b::unknown]], _DINF_PERIOD)
               for b in range(unknown)]
 
     # certify the fitted characters symbolically on the same columns
@@ -584,11 +594,14 @@ def restriction_consistency_solve(
     The forked system's two branch characters are solved for exactly on
     the truncation window when the chain characters are assumed, then the
     candidates are certified symbolically.  Every system needs truncation
-    >= 4; the assumed forked system needs >= 7 (ValueError otherwise).
+    >= 4; the assumed forked system needs >= 7, and every truncation is at
+    most MAX_TRUNCATION (ValueError otherwise).
     """
     entry = _system(system)
     if truncation < 4:
         raise ValueError("need truncation >= 4")
+    if truncation > MAX_TRUNCATION:
+        raise ValueError(f"need truncation <= {MAX_TRUNCATION}, got {truncation}")
     if not entry.branches:
         count = entry.object_of_chain(truncation) + 1
         return _certify(system, entry, entry.character, count)

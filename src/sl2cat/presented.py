@@ -391,10 +391,9 @@ class PresentedMatrix:
                 0 if minus is None else minus.head_size)
         # below m, other's stored columns can reach rows past m + other.band
         end = max(m + other.band, other.head_extent())
-        # other's rows inside its head are read as stored; each row past it
-        # that a row of the product reaches is listed once
-        ohs, rows_b = other.head_size, other._rows
-        tail_b = {k: dict(other.row_entries(k)) for k in range(ohs, max(m + self.band, end))}
+        # row k of other is its stored entries and, for k past its head size,
+        # its diagonals at columns past the head size
+        ohs, rows_b, diags_b, empty = other.head_size, other._rows, other._diags.items(), {}
         hs, diags_a = self.head_size, self._diags
         tail_a = {i: {i + d: a for d, a in diags_a.items() if i + d >= hs}
                   for i in range(hs, m)} if diags_a else {}
@@ -403,17 +402,23 @@ class PresentedMatrix:
             for i, row_a in rows_a.items():
                 out = rows.setdefault(i, {})
                 for k, a in row_a.items():
-                    for j, b in (rows_b.get(k, {}) if k < ohs else tail_b[k]).items():
+                    for j, b in rows_b.get(k, empty).items():
                         out[j] = out.get(j, 0) + a * b
-        # rows i >= m of self are pure tail, so below the head block the
-        # product meets only other's rows m - self.band .. end - 1
+                    if k >= ohs:
+                        for d, b in diags_b:
+                            if k + d >= ohs:
+                                out[k + d] = out.get(k + d, 0) + a * b
+        # rows i >= m of self are pure tail, so the corner below the head
+        # block, columns j < m, meets only other's rows m - self.band .. end - 1
         for k in range(m - self.band, end) if diags_a else ():
-            for j, b in (rows_b.get(k, {}) if k < ohs else tail_b[k]).items():
-                if j < m:
-                    for d, a in diags_a.items():
-                        if k - d >= m:
-                            out = rows.setdefault(k - d, {})
-                            out[j] = out.get(j, 0) + a * b
+            corner = [(j, b) for j, b in rows_b.get(k, empty).items() if j < m]
+            if k >= ohs:
+                corner += [(k + d, b) for d, b in diags_b if ohs <= k + d < m]
+            for j, b in corner:
+                for d, a in diags_a.items():
+                    if k - d >= m:
+                        out = rows.setdefault(k - d, {})
+                        out[j] = out.get(j, 0) + a * b
         if minus is not None:
             _accumulate(rows, minus, m, -1)
         return self._build(self.index, m, rows, diags)

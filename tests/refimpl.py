@@ -251,12 +251,12 @@ def gcd_list(values: list[int]) -> int:
 # -- solver branch choice --------------------------------------------------------
 
 
-def branch_key(domains: dict) -> tuple | None:
-    """The open key of smallest width, first in dict order, by a linear scan
-    of every [lo, hi] domain; None if all are pinned."""
+def branch_key(lo: list, hi: list) -> int | None:
+    """The open variable of smallest width, lowest id first, by a linear scan
+    of every [lo[v], hi[v]] domain; None if all are pinned."""
     best, best_width = None, 0
-    for key, (lo, hi) in domains.items():
-        width = hi - lo
+    for v, (low, high) in enumerate(zip(lo, hi)):
+        width = high - low
         if width and (best is None or width < best_width):
-            best, best_width = key, width
+            best, best_width = v, width
     return best

@@ -790,6 +790,24 @@ def test_restriction_documents_match_recorded_digests(capsys, system, truncation
         assert hashlib.sha256(out.encode()).hexdigest() == digest, assume
 
 
+@pytest.mark.parametrize("system, flags", [("takiff", []), ("schrodinger", []), ("dinf", []),
+                                           ("dinf", ["--assume-restrictions"])])
+def test_restrictions_truncation_at_and_past_the_cap(capsys, time_limit, system, flags):
+    # the assumed forked system writes about T^2 equations: at the cap it is the
+    # slowest, at about half a second
+    cap = oracles.MAX_TRUNCATION
+    with time_limit(5.0):
+        code, out, err = run(capsys, "oracle", "restrictions", "--system", system,
+                             "--truncation", str(cap), *flags)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"system {system}: ") and f"truncation {cap})" in out
+    with time_limit(1.0):
+        code, out, err = run(capsys, "oracle", "restrictions", "--system", system,
+                             "--truncation", str(cap + 1), "--json", *flags)
+    assert (code, out) == (3, "")
+    assert err == f"error: need truncation <= {cap}, got {cap + 1}\n"
+
+
 def test_restrictions_unknown_system_exit_3(capsys):
     code, _, err = run(capsys, "oracle", "restrictions", "--system", "nope")
     assert code == 3
@@ -1015,7 +1033,9 @@ def _argv(root, paths):
         words(fixed("oracle", "jordan"), flag("--n", num(-1, 8)),
               eigenvalues.map(lambda q: [f"--lambda={q}"]), json_flag),
         words(fixed("oracle", "restrictions"), flag("--system", systems),
-              optional("--truncation", num(-1, 12)),
+              optional("--truncation", st.one_of(
+                  num(-1, 12), st.integers(oracles.MAX_TRUNCATION + 1,
+                                           oracles.MAX_TRUNCATION + 3).map(str))),
               st.sampled_from([[], ["--assume-restrictions"]]), json_flag),
         words(fixed("render"), st.one_of(flag("--model", models), flag("--gcm", files)),
               flag("--dot", dots),
@@ -1139,4 +1159,30 @@ def test_record_validators_raise_value_error():
         with pytest.raises(ValueError) as info:
             make()
         assert str(info.value) == message
+
+
+def test_record_replace_and_make_run_the_validators():
+    dynkin_type = DynkinType("classical", "A", 3)
+    model = ModuleCategoryModel("m", "simples", _ONE)
+    obj = NamedOObject("L", -1)
+    for make, message in [
+        (lambda: dynkin_type._replace(kind="bogus"), "unknown kind 'bogus'"),
+        (lambda: DynkinType._make(("bogus", "A", 3)), "unknown kind 'bogus'"),
+        (lambda: model._replace(basis="weights"), "unknown basis 'weights'"),
+        (lambda: model._replace(f1=_ONE.scale(-1)), "action matrix must be entrywise non-negative"),
+        (lambda: ModuleCategoryModel._make(("m", "weights", _ONE, "")), "unknown basis 'weights'"),
+        (lambda: obj._replace(weight=5), "simple catalog objects need weight <= -1"),
+        (lambda: NamedOObject._make(("L", 5)), "simple catalog objects need weight <= -1"),
+        (lambda: NamedOObject._make(("P", -1)),
+         "the projective tag needs weight <= -2; P(-1) is L(-1)"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+    # valid records still come back as the subclass, equal to the constructor's
+    assert dynkin_type._replace(rank=4) == DynkinType("classical", "A", 4)
+    assert type(DynkinType._make(("affine", "A", 2))) is DynkinType
+    assert model._replace(name="n") == ModuleCategoryModel("n", "simples", _ONE)
+    assert NamedOObject._make(("P", -2)) == NamedOObject("P", -2)
+    assert type(obj._replace(kind="Delta")) is NamedOObject
 

@@ -428,6 +428,51 @@ def test_obstruction_reports_match_full_sweep_digests(name):
         assert hashlib.sha256(text.encode()).hexdigest() == OBSTRUCTION_DIGESTS[name][depth - 1], depth
 
 
+# the same digests at depths 12, 16 and 32, recorded from the solver that kept
+# its domains in a dict of [lo, hi] lists keyed by (side, a, j, k)
+DEEP_DEPTHS = (12, 16, 32)
+OBSTRUCTION_DIGESTS_DEEP = {
+    "Ainf": (
+        "cbc8dc407a54d2837d87d78d474c6ba33a31be3d68ae48417ab000b4cbdb2b08",
+        "0a11d6c2e8a2f5f65b579e95d0e8d67908ddb953a371ee97fdd1d6cde927d86f",
+        "cd839538c77d850827f64d02886bb458d3dfd4bc8bae521eddfe353e92b88d10",
+    ),
+    "AinfInf": (
+        "df368ff6561e48334e786d297c5dc7a7114411335e4ab7b7dbe753fd4d73b98f",
+        "6e0e65cf8edc4054d90f007b9abc669fe384721f847a05d04d41f79344e37e13",
+        "887720652fcbb7722155c6a0ddb54b5527c381db8a554b07a2f379f6c8750639",
+    ),
+    "BinfDual": (
+        "4a12dadc6d11c79c3b66e717eac57234f3adf14b3d4ec03e1e1db5096086a74b",
+        "31c61cbd43912d2fa8378c7471d7d0bee467e65172f2ae26990e541afc455c72",
+        "aee79cc1c810d4904f1727bf1e97822f97df00b8f7257a457875afcf2fca9620",
+    ),
+    "Cinf": (
+        "52c3b46438c53fb5302ecef1deb99b2ac21d7119ca2b9b89ba80709a04cb2dbd",
+        "50fc21351cb94afe4eca0947bb02411fdc1d19c77632711b52a061446415af27",
+        "81108c3f3da9d7857de3a685bd895c7b86f6f827da5b52818c8d1b7cab80cb5e",
+    ),
+    "Dinf": (
+        "2719b89ffa64c07103fd9a755e1716c298f1412d6080954c68ab990415f0720f",
+        "bd87c36f9a6095b103b36d6fdd9ae9df6662d9e17ff066d60cf55d7cbe856891",
+        "8506714ed95fde20e886ddaf934645e277dfe4dffe9c2e7aea2fdb43e109e928",
+    ),
+    "Tinf": (
+        "8d7d67ec2182b9d6f50c9e53668c365ffe0a20c89fd3c09884ef7986f4e83efb",
+        "526a5aaa42222df7526187b10f69c8ff2e15e649625f7447070ba1d874ac480a",
+        "40e1d2de4d561a9cb05db3bceddd3aca2acd353022e88b34047d31a0540ccad5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_deep_obstruction_reports_match_digests(name):
+    for depth, expected in zip(DEEP_DEPTHS, OBSTRUCTION_DIGESTS_DEEP[name]):
+        report = socle_top_feasibility(catalog(name), depth)
+        text = json.dumps(report.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == expected, depth
+
+
 # the same digests with schur_dim=2, where Ainf and Dinf at depths 2..8 fall
 # through from the semisimple witness to propagation (UNSAT); recorded from
 # the solver that built a second state and rule list for that fallthrough
@@ -505,12 +550,12 @@ def test_schur_dim_2_reports_match_digests(name):
 
 
 def _built_rules(monkeypatch):
-    """Record (maker, keys, event) for every rule that the rule makers build."""
+    """Record (maker, variable ids, event) for every rule that the rule makers build."""
     made = []
     for maker in ("_rule_equal", "_rule_sum"):
         def recording(*args, _make=getattr(obstruction, maker), _maker=maker):
             rule = _make(*args)
-            made.append((_maker, rule.keys, args[-1]))
+            made.append((_maker, rule.ids, obstruction._event(args[-1])))
             return rule
         monkeypatch.setattr(obstruction, maker, recording)
     return made
@@ -562,13 +607,17 @@ def test_one_rule_build_per_solve_including_the_fallthrough(monkeypatch):
                 assert len(builds) == calls, (name, depth, schur_dim)
 
 
+def _domains(state):
+    return list(zip(state.lo, state.hi))
+
+
 def _full_sweeps(state, rules):
     """Reference propagation: run every rule in order until a sweep changes nothing."""
     while True:
-        before = [tuple(v) for v in state.domains.values()]
+        before = _domains(state)
         for rule in rules:
             rule(state)
-        if [tuple(v) for v in state.domains.values()] == before:
+        if _domains(state) == before:
             return
 
 
@@ -579,22 +628,22 @@ def _outcome(step, state):
         violation = None
     except obstruction._Violation as exc:
         violation = exc.event
-    return violation, {k: tuple(v) for k, v in state.domains.items()}, list(state.trace)
+    return violation, _domains(state), list(state.trace)
 
 
 def _assert_watched_matches_full_sweeps(watched, rules, full, full_rules, data):
     """Seed every rule, then branch from the fixpoint and seed only the key's watchers."""
-    watch = obstruction._watch_index(rules, watched.domains)
+    watch = obstruction._watch_index(rules, len(watched.lo))
     first = _outcome(lambda s: obstruction._propagate(s, rules, watch, range(len(rules))), watched)
     assert first == _outcome(lambda s: _full_sweeps(s, full_rules), full)
-    open_keys = [k for k, (lo, hi) in watched.domains.items() if lo < hi]
-    if first[0] is not None or not open_keys:
+    open_ids = [v for v, (lo, hi) in enumerate(_domains(watched)) if lo < hi]
+    if first[0] is not None or not open_ids:
         return
-    key = data.draw(st.sampled_from(open_keys))
-    value = data.draw(st.integers(*watched.domains[key]))
+    v = data.draw(st.sampled_from(open_ids))
+    value = data.draw(st.integers(watched.lo[v], watched.hi[v]))
     for state in (watched, full):
-        state.narrow(key, value, value, {"constraint": "branch"})
-    second = _outcome(lambda s: obstruction._propagate(s, rules, watch, watch[key]), watched)
+        state.narrow(v, value, value, ("branch",))
+    second = _outcome(lambda s: obstruction._propagate(s, rules, watch, watch[v]), watched)
     assert second == _outcome(lambda s: _full_sweeps(s, full_rules), full)
 
 
@@ -604,31 +653,31 @@ def test_watched_propagation_matches_full_sweeps(name, depth, data):
     comps = obstruction._compositions(catalog(name).f1, depth)
     states = [obstruction._fresh_state(comps, []) for _ in range(2)]
     rules = [obstruction._build_rules(comps, depth, 1, state) for state in states]
-    keys = list(states[0].domains)
+    count = len(states[0].lo)
     for _ in range(data.draw(st.integers(0, 4))):  # random partial pins
-        key = keys[data.draw(st.integers(0, len(keys) - 1))]
-        value = data.draw(st.integers(*states[0].domains[key]))
+        v = data.draw(st.integers(0, count - 1))
+        value = data.draw(st.integers(states[0].lo[v], states[0].hi[v]))
         for state in states:
-            state.narrow(key, value, value, {"constraint": "pin"})
+            state.narrow(v, value, value, ("pin",))
     _assert_watched_matches_full_sweeps(states[0], rules[0], states[1], rules[1], data)
 
 
-def _step_rule(x, cap, event):
+def _step_rule(x, cap, spec):
     # raises lo(x) by one per run: it must run again after its own change
     def run(state):
-        lo, hi = state.domains[x]
+        lo, hi = state.lo[x], state.hi[x]
         if lo < cap:
-            state.narrow(x, lo + 1, hi, event)
-    run.keys = (x,)
+            state.narrow(x, lo + 1, hi, spec)
+    run.ids = (x,)
     return run
 
 
-def _below_rule(x, y, gap, event):
+def _below_rule(x, y, gap, spec):
     # lo(y) >= lo(x) + gap and hi(x) <= hi(y) - gap
     def run(state):
-        state.narrow(y, state.domains[x][0] + gap, state.domains[y][1], event)
-        state.narrow(x, state.domains[x][0], state.domains[y][1] - gap, event)
-    run.keys = (x, y)
+        state.narrow(y, state.lo[x] + gap, state.hi[y], spec)
+        state.narrow(x, state.lo[x], state.hi[y] - gap, spec)
+    run.ids = (x, y)
     return run
 
 
@@ -648,12 +697,12 @@ def test_watched_propagation_is_exact_for_rules_that_need_reruns(specs, data):
     def build():
         rules = []
         for i, (kind, *args) in enumerate(specs):
-            event = {"constraint": f"rule {i}"}
+            spec = (f"rule {i}",)
             if kind == "step":
-                rules.append(_step_rule(keys[args[0]], args[1], event))
+                rules.append(_step_rule(args[0], args[1], spec))
             else:
-                rules.append(_below_rule(keys[args[0]], keys[args[1]], args[2], event))
-        return obstruction._State({key: [0, 6] for key in keys}, []), rules
+                rules.append(_below_rule(args[0], args[1], args[2], spec))
+        return obstruction._State(keys, [0] * 4, [6] * 4, []), rules
 
     (watched, rules), (full, full_rules) = build(), build()
     _assert_watched_matches_full_sweeps(watched, rules, full, full_rules, data)
@@ -661,15 +710,14 @@ def test_watched_propagation_is_exact_for_rules_that_need_reruns(specs, data):
 
 def _copying_search(state, rules):
     """Reference search: copy the domains per node, full sweeps, recursion."""
-    open_keys = [k for k, (lo, hi) in state.domains.items() if lo < hi]
-    if not open_keys:
+    open_ids = [v for v, (lo, hi) in enumerate(_domains(state)) if lo < hi]
+    if not open_ids:
         return state
-    key = min(open_keys, key=lambda k: state.domains[k][1] - state.domains[k][0])
-    lo, hi = state.domains[key]
-    for value in range(lo, hi + 1):
-        branch = obstruction._State({k: v.copy() for k, v in state.domains.items()}, None)
+    v = min(open_ids, key=lambda v: state.hi[v] - state.lo[v])
+    for value in range(state.lo[v], state.hi[v] + 1):
+        branch = obstruction._State(state.keys, state.lo.copy(), state.hi.copy(), None)
         try:
-            branch.narrow(key, value, value, {"constraint": "branch"})
+            branch.narrow(v, value, value, ("branch",))
             _full_sweeps(branch, rules)
         except obstruction._Violation:
             continue
@@ -703,7 +751,7 @@ def test_trail_search_matches_copying_search_on_random_models(rows, depth):
         assert report.trace[-1]["identity"] == "no assignment survives exhaustive search"
     else:
         assert report.status == "SAT"
-        assert report.witness == obstruction._witness_from(found, comps, depth)
+        assert report.witness == obstruction._witness_from(found, comps)
 
 
 def test_node_budget_counts_branches():
@@ -728,11 +776,11 @@ def _choices_checked_against_the_scan(monkeypatch) -> list:
     list that the choices are appended to."""
     open_top, chosen = obstruction._open_top, []
 
-    def checked(heap, domains, keys):
-        key = open_top(heap, domains, keys)
-        assert key == refimpl.branch_key(domains)
-        chosen.append(key)
-        return key
+    def checked(heap, lo, hi):
+        v = open_top(heap, lo, hi)
+        assert v == refimpl.branch_key(lo, hi)
+        chosen.append(v)
+        return v
 
     monkeypatch.setattr(obstruction, "_open_top", checked)
     return chosen
@@ -756,22 +804,26 @@ def test_heap_branch_choice_matches_the_linear_scan(monkeypatch):
     ({"x": [0, 1], "j": [0, 2], "k": [0, 2]}, ("k", 1), "k", ["x", "k", "j", "k", None]),
 ])
 def test_heap_choice_after_an_undo(monkeypatch, domains, narrowed, refuted, chosen):
+    keys = list(domains)  # variable ids in dict order
+    x, k, r = keys.index("x"), keys.index(narrowed[0]), keys.index(refuted)
+
     def narrow(state):
-        if state.value("x") == 0:
-            state.narrow(narrowed[0], 0, narrowed[1], {"constraint": "narrow"})
+        if state.value(x) == 0:
+            state.narrow(k, 0, narrowed[1], ("narrow",))
 
     def refute(state):
-        if state.value("x") == 0 and state.value(refuted) is not None:
-            raise obstruction._Violation({"constraint": "refute"})
+        if state.value(x) == 0 and state.value(r) is not None:
+            raise obstruction._Violation(("refute",))
 
-    narrow.keys, refute.keys = ("x",), ("x", refuted)
+    narrow.ids, refute.ids = (x,), (x, r)
     rules = [narrow, refute]
-    state = obstruction._State(domains, None)
-    watch = obstruction._watch_index(rules, state.domains)
+    state = obstruction._State(keys, [lo for lo, _ in domains.values()],
+                               [hi for _, hi in domains.values()], None)
+    watch = obstruction._watch_index(rules, len(keys))
     seen = _choices_checked_against_the_scan(monkeypatch)
     assert obstruction._search(state, rules, watch, 100)
-    assert seen == chosen
-    assert all(lo == hi for lo, hi in state.domains.values())
+    assert [None if v is None else keys[v] for v in seen] == chosen
+    assert all(lo == hi for lo, hi in _domains(state))
 
 
 def test_branch_choice_examines_heap_entries_in_proportion_to_the_trail(monkeypatch):
@@ -781,19 +833,19 @@ def test_branch_choice_examines_heap_entries_in_proportion_to_the_trail(monkeypa
     search = obstruction._search
     counts = dict.fromkeys(("examined", "branches", "undone", "pushed"), 0)
 
-    def counted_top(heap, domains, keys):
+    def counted_top(heap, lo, hi):
         size = len(heap)
-        key = open_top(heap, domains, keys)
-        counts["examined"] += size - len(heap) + (key is not None)  # popped, then read
-        return key
+        v = open_top(heap, lo, hi)
+        counts["examined"] += size - len(heap) + (v is not None)  # popped, then read
+        return v
 
     def counted_undo(self, mark):
         counts["undone"] += len(self.trail) - mark
         undo(self, mark)
 
-    def counted_narrow(self, key, lo, hi, event):
-        counts["branches"] += event == {"constraint": "branch"}
-        narrow(self, key, lo, hi, event)
+    def counted_narrow(self, v, lo, hi, spec):
+        counts["branches"] += obstruction._event(spec) == {"constraint": "branch"}
+        narrow(self, v, lo, hi, spec)
 
     def counted_search(state, rules, watch, budget):
         start = len(state.trail)

@@ -369,6 +369,36 @@ def test_dinf_assumed_restrictions_pin_the_branch_characters():
     assert lhs2 == rhs2
 
 
+def _unassumed_elimination_work(monkeypatch, truncation):
+    """Pivot entries that Echelon.add reads while ranking the unassumed dinf system."""
+    work = []
+
+    class CountedPivots(dict):
+        def get(self, lead, default=None):
+            row = dict.get(self, lead, default)
+            work.append(len(row) if row else 0)
+            return row
+
+    def counting_init(self, rows=()):
+        self.pivots = CountedPivots()
+        for row in rows:
+            self.add(row)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Echelon, "__init__", counting_init)
+        report = restriction_consistency_solve("dinf", truncation)
+    assert report.status == "underdetermined"
+    return sum(work)
+
+
+def test_unassumed_restriction_elimination_is_linear_in_the_truncation(monkeypatch):
+    # index-major columns keep every equation inside a band of 3 * unknown
+    # columns, so each pivot row stays short and the work grows as T
+    works = [_unassumed_elimination_work(monkeypatch, t) for t in (40, 80, 160, 320)]
+    for small, large in zip(works, works[1:]):
+        assert large <= 2.1 * small, works
+
+
 def test_restriction_truncation_precondition():
     with pytest.raises(ValueError):
         restriction_consistency_solve("takiff", truncation=3)
