@@ -26,6 +26,7 @@ The weights of L(n) and the Clebsch-Gordan rule are read from
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections import Counter, namedtuple
 from fractions import Fraction
@@ -85,8 +86,8 @@ def verma(weight: int, coset: bool = False) -> OClassVector:
 MAX_TENSOR_WEIGHT = 10_000
 #: largest size n of the Jordan cell of the Jordan oracle, whose work is linear in n
 MAX_JORDAN_N = 10_000
-#: largest truncation of the restriction solver; the assumed forked system
-#: writes about T^2 equations, and at the cap every system answers within a second
+#: largest truncation of the restriction solver; its equations grow linearly in T
+#: and its certificate not at all, and at the cap every system answers in under 10 ms
 MAX_TRUNCATION = 320
 
 
@@ -490,26 +491,87 @@ def _system(name: str) -> _System:
     return _SYSTEMS[name]
 
 
+@lru_cache(maxsize=1)  # built on first use, not at import
+def _shift_commutator() -> tuple[PresentedMatrix, int]:
+    """The shift S: e_k -> e_(k+1) on N, and one past the last column of A_inf S - S A_inf.
+
+    Two Toeplitz matrices on N commute up to a finite corner (the
+    Toeplitz-Hankel identity; Boettcher and Silbermann, 1999).  For A_inf
+    the corner is e_0 e_0^T: L(1) (x) L(1) = L(0) + L(2) holds one summand
+    more than L(2), the shift of L(0) (x) L(1) = L(1).
+    """
+    shift = PresentedMatrix(_NAT, diagonals={-1: 1})
+    commutator = _A_INF.mul(shift, shift.mul(_A_INF))
+    if commutator.diagonals():
+        raise RuntimeError("A_inf commutes with the shift only up to a Toeplitz tail")
+    return shift, max((j for _, j, _ in commutator.head_entries()), default=-1) + 1
+
+
+def _relation_holds(system: _System, character: Callable[[int], SlCharacter], j: int) -> bool:
+    """Column j's relation: character(j) tensored with L(1), which is the
+    A_inf matrix applied to it, is the sum of the characters the column selects."""
+    terms = [character(i) for i, v in system.f1.col_entries(j) for _ in range(v)]
+    return bool(terms) and _A_INF.apply(character(j)) == reduce(PresentedVector.add, terms)
+
+
+def _translates(system: _System, character: Callable[[int], SlCharacter], j: int,
+                known: int = 0) -> bool:
+    """The translation lemma's hypotheses at column j: relation j then proves every later one.
+
+    With S and C = A_inf S - S A_inf as in _shift_commutator, suppose
+      * j >= f1.tail_start(), so column j + 1 of f1 is S applied to column j;
+      * every object from j - band on is a chain object (and not below
+        known), so character(i + 1) = S character(i) there: tower(n + 1) is
+        tower(n) shifted, checked at the first of them, and tower(n) is n
+        zeros before one fixed tail, so the check at one n holds at every n;
+      * character(j) vanishes on the columns of C.
+    Then A_inf chi_(j+1) = S A_inf chi_j + C chi_j = sum_i f1(i, j+1) chi_i,
+    which is relation j + 1.  S moves a vector's zeros up, so all three
+    hypotheses hold again at j + 1.  The first such column j0 is 2 on takiff
+    and schrodinger and 3 on dinf.
+    """
+    low = j - system.f1.band
+    if j < system.f1.tail_start() or low < max(known, len(system.branches)):
+        return False
+    shift, reach = _shift_commutator()
+    return (not any(character(j).truncate(reach))
+            and character(low + 1) == shift.apply(character(low)))
+
+
+def _first_failure(system: _System, character: Callable[[int], SlCharacter],
+                   count: int | None = None) -> int | None:
+    """The first column below count (of every column if None) whose relation fails.
+
+    Columns are checked in order until the translation lemma (_translates)
+    certifies every later one, so the work does not grow with count; its
+    hypotheses hold from some column on, so the walk over every column ends.
+    """
+    for j in range(count) if count is not None else itertools.count():
+        if not _relation_holds(system, character, j):
+            return j
+        if _translates(system, character, j):
+            return None
+    return None
+
+
 def _certify(name: str, system: _System, character: Callable[[int], SlCharacter], count: int,
              solved_rows: int = 0) -> RestrictionReport:
     """Check columns 0..count-1 of the action matrix symbolically.
 
-    Column j holds when character(j) tensored with L(1), which is the A_inf
-    matrix applied to it, equals the sum of the characters the column
-    selects.  An infeasible report counts the columns that held before the
-    first failure.
+    Columns 0..j0 are checked explicitly and the translation lemma
+    (_translates) certifies the rest.  An infeasible report counts the
+    columns that held before the first failure, which is at or below j0.
     """
-    for j in range(count):
-        terms = [character(i) for i, v in system.f1.col_entries(j) for _ in range(v)]
-        if not terms or _A_INF.apply(character(j)) != reduce(PresentedVector.add, terms):
-            return RestrictionReport(name, "infeasible", solved_rows + j, {})
+    failure = _first_failure(system, character, count)
+    if failure is not None:
+        return RestrictionReport(name, "infeasible", solved_rows + failure, {})
     shown = {system.object(i)[0]: character(i)
              for i in range(system.object_of_chain(_SHOWN_CHAIN) + 1)}
     return RestrictionReport(name, "consistent", solved_rows + count, shown)
 
 
 def _relation_rows(system: _System, count: int, unknown: int, size: int,
-                   ) -> tuple[list[dict[int, int]], list[int]]:
+                   ) -> tuple[list[dict[int, int]], list[int], int]:
     """Coefficient-level equations for the relations of objects 0..count-1.
 
     The characters of objects 0..unknown-1 are unknown coefficient
@@ -520,13 +582,33 @@ def _relation_rows(system: _System, count: int, unknown: int, size: int,
     objects keep their stated characters.  Each relation contributes one
     equation per index at which every term is determined by the window.
     Rows are sparse ``{column: coefficient}`` maps.
+
+    A relation with a positive column and no unknown term that holds
+    symbolically has only 0 = 0 equations; they are counted, not built,
+    and the count is the third value.  From the first such column where
+    the translation lemma applies (_translates) every later relation is
+    one of them, so only the relations that read an unknown are written.
     """
-    rows: list[dict[int, int]] = []
-    rhs: list[int] = []
+    written = []
+    implied = 0
     for j in range(count):
         targets = list(system.f1.col_entries(j))
-        known = {i: system.character(i) for i in [j] + [i for i, _ in targets] if i >= unknown}
-        for k in range(size):
+        if (j >= unknown and all(i >= unknown and v > 0 for i, v in targets)
+                and _relation_holds(system, system.character, j)):
+            if _translates(system, system.character, j, unknown):
+                implied += (count - j) * size
+                break
+            implied += size
+        else:
+            known = {i: system.character(i) for i in [j] + [i for i, _ in targets]
+                     if i >= unknown}
+            written.append((j, targets, known))
+    rows: list[dict[int, int]] = []
+    rhs: list[int] = []
+    # index-major, as the columns are: each row reduces only against the
+    # pivot rows of nearby indices, so elimination stays linear in the window
+    for k in range(size):
+        for j, targets, known in written:
             # L(k) occurs in L(i) (x) L(1) exactly when i is in cg_support(k, 1)
             terms = [(j, src, 1) for src in cg_support(k, 1)]
             terms += [(i, k, -v) for i, v in targets]
@@ -542,7 +624,7 @@ def _relation_rows(system: _System, count: int, unknown: int, size: int,
                     acc -= sign * known[i].entry(idx)
             rows.append(row)
             rhs.append(acc)
-    return rows, rhs
+    return rows, rhs, implied
 
 
 def _solve_branches(name: str, system: _System, truncation: int) -> RestrictionReport:
@@ -550,25 +632,26 @@ def _solve_branches(name: str, system: _System, truncation: int) -> RestrictionR
     size = truncation + 1
     count = system.object_of_chain(truncation) + 1
     unknown = len(system.branches)
-    rows, rhs = _relation_rows(system, count, unknown, size)
+    rows, rhs, implied = _relation_rows(system, count, unknown, size)
     # normalization: the second branch character avoids the trivial simple
     rows.append({1: 1})
     rhs.append(0)
+    checked = len(rows) + implied
 
     augmented = unknown * size
     echelon = Echelon({**row, augmented: val} for row, val in zip(rows, rhs))
     if augmented in echelon.pivots:
-        return RestrictionReport(name, "infeasible", len(rows), {})
+        return RestrictionReport(name, "infeasible", checked, {})
     if echelon.rank < augmented:
         return RestrictionReport(
-            name, "underdetermined", len(rows), {},
+            name, "underdetermined", checked, {},
             f"{augmented - echelon.rank}-dimensional ambiguity remains even with "
             "assumed restrictions",
         )
     x = echelon.solution({augmented: -1})
     solution = [x[c] for c in range(augmented)]
     if any(v.denominator != 1 or v < 0 for v in solution):
-        return RestrictionReport(name, "infeasible", len(rows), {})
+        return RestrictionReport(name, "infeasible", checked, {})
     fitted = [_fit_periodic([int(v) for v in solution[b::unknown]], _DINF_PERIOD)
               for b in range(unknown)]
 
@@ -576,7 +659,7 @@ def _solve_branches(name: str, system: _System, truncation: int) -> RestrictionR
     def character(i: int) -> SlCharacter:
         return fitted[i] if i < unknown else system.character(i)
 
-    return _certify(name, system, character, count, len(rows))
+    return _certify(name, system, character, count, checked)
 
 
 def restriction_system_names() -> tuple[str, ...]:
@@ -607,7 +690,7 @@ def restriction_consistency_solve(
         return _certify(system, entry, entry.character, count)
     if not assume_restrictions:
         unknown = entry.object_of_chain(_OPEN_CHAIN) + 1
-        rows, _ = _relation_rows(entry, unknown - 1, unknown, truncation + 1)
+        rows, _, _ = _relation_rows(entry, unknown - 1, unknown, truncation + 1)
         dim = unknown * (truncation + 1) - Echelon(rows).rank
         freedom = (
             f"all {unknown} restriction characters left unknown: the truncated "
@@ -627,14 +710,14 @@ def restriction_action_matrix(system: str) -> PresentedMatrix:
     """Action matrix encoded by a named system's tensor relations.
 
     Objects are ordered as the solver reports them (the forked system puts
-    its two branch objects first).  Columns 0..11 are certified against
-    the characters by the solver's column check before returning.
+    its two branch objects first).  Every column is certified against the
+    characters before returning: columns 0..j0 by the solver's column
+    check, the rest by the translation lemma (see _translates).
     """
     entry = _system(system)
-    report = _certify(system, entry, entry.character, 12)
-    if report.status == "infeasible":
-        raise RuntimeError(
-            f"column {report.relations_checked} of the {system} matrix fails its relation")
+    failure = _first_failure(entry, entry.character)
+    if failure is not None:
+        raise RuntimeError(f"column {failure} of the {system} matrix fails its relation")
     return entry.f1
 
 

@@ -260,3 +260,62 @@ def branch_key(lo: list, hi: list) -> int | None:
         if width and (best is None or width < best_width):
             best, best_width = v, width
     return best
+
+
+# -- restriction relations on dense windows ----------------------------------------
+
+
+def tensor_with_L1(values: list[int]) -> list[int]:
+    """Multiplicities of L(m) in (sum_k values[k] L(k)) (x) L(1), m < len(values) - 1,
+    each L(k) (x) L(1) expanded through weight multisets."""
+    out = [0] * (len(values) + 1)
+    for k, c in enumerate(values):
+        for m, mult in brute_tensor(1, k).items():
+            out[m] += c * mult
+    return out[:len(values) - 1]
+
+
+def first_failing_relation(f1: list[list[int]], characters: list[list[int]],
+                           count: int) -> int | None:
+    """The first column j < count whose relation fails on the window, or None.
+
+    f1 is a dense window of the action matrix and characters[i] a dense
+    window of object i's character.  Relation j says that characters[j]
+    tensored with L(1) is the sum of f1[i][j] copies of characters[i] over
+    the positive entries of column j; a column with no positive entry fails.
+    Every column is compared on every index of the window but the last.
+    """
+    for j in range(count):
+        positive = [(i, row[j]) for i, row in enumerate(f1) if row[j] > 0]
+        lhs = tensor_with_L1(characters[j])
+        rhs = [sum(v * characters[i][m] for i, v in positive) for m in range(len(lhs))]
+        if not positive or lhs != rhs:
+            return j
+    return None
+
+
+def window_equations(f1: list[list[int]], characters: list[list[int] | None], count: int,
+                     unknown: int, size: int) -> list[tuple[list[int], int]]:
+    """Every equation of relations 0..count-1 at indices 0..size-1, as (coefficients, rhs).
+
+    The characters of objects 0..unknown-1 are unknowns on indices
+    0..size-1, the coefficient of L(k) in object i at position
+    k * unknown + i; the other objects read characters[i].  Relation j at
+    index k is one equation, written unless it reads an unknown at an
+    index past the window; the column entries keep their signs.
+    """
+    rows = []
+    for j in range(count):
+        for k in range(size):
+            terms = [(j, src, 1) for src in (k - 1, k + 1) if src >= 0]
+            terms += [(i, k, -row[j]) for i, row in enumerate(f1) if row[j]]
+            if any(i < unknown and idx >= size for i, idx, _ in terms):
+                continue
+            coefficients, rhs = [0] * (unknown * size), 0
+            for i, idx, sign in terms:
+                if i < unknown:
+                    coefficients[idx * unknown + i] += sign
+                else:
+                    rhs -= sign * characters[i][idx]
+            rows.append((coefficients, rhs))
+    return rows

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2cat import dynkin
 from sl2cat.dynkin import (
     AFFINE_RANKS,
     CLASSICAL_RANKS,
@@ -222,6 +223,21 @@ def test_relabelled_finite_templates_classify_to_themselves():
             continue
         result = classify(_relabel(template(dtype), rng))
         assert (result.kind, result.dtype) == (dtype.kind, dtype), result.certificate
+
+
+def test_finite_template_table_matches_the_filter_over_every_type():
+    # the table builds ranks n - 1 and n only; filtering every template
+    # type of rank <= n by its vertex count gives the same table, in order
+    for n in range(1, 17):
+        table: dict = {}
+        for dtype in template_types(n):
+            if dtype.kind != "infinite":
+                edges, count = dynkin._diagram(dtype)
+                if count == n:
+                    dense = [[edges.get((i, j), 0) for j in range(n)] for i in range(n)]
+                    key = (dtype.kind, dynkin._profiles(dense))
+                    table.setdefault(key, []).append((dtype, dense))
+        assert dynkin._finite_templates(n) == table, n
 
 
 def test_relabelled_long_diagrams_classify_quickly(time_limit):

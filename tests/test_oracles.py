@@ -399,6 +399,171 @@ def test_unassumed_restriction_elimination_is_linear_in_the_truncation(monkeypat
         assert large <= 2.1 * small, works
 
 
+def _every_column_report(system, truncation, assume):
+    """(status, relations_checked, characters, freedom dimension) of a report
+    under the every-column semantics, from the dense references in refimpl:
+    the window equations of every relation, exact elimination, and a dense
+    check of every certified column."""
+    size = truncation + 1
+    count = system.object_of_chain(truncation) + 1
+    # the relations compare periodic-affine vectors whose heads end below
+    # count + 3 and whose periods divide 4: two periods past the heads decide
+    window = count + 16
+    f1 = system.f1.truncate(window)
+    branches = len(system.branches)
+
+    def certified(character, solved_rows):
+        characters = [character(i).truncate(window) for i in range(window)]
+        failure = refimpl.first_failing_relation(f1, characters, count)
+        if failure is not None:
+            return "infeasible", solved_rows + failure, {}, None
+        shown = {system.object(i)[0]: character(i)
+                 for i in range(system.object_of_chain(oracles._SHOWN_CHAIN) + 1)}
+        return "consistent", solved_rows + count, shown, None
+
+    if not branches:
+        return certified(system.character, 0)
+    stated = [None] * branches + [system.character(i).truncate(window)
+                                  for i in range(branches, window)]
+    if not assume:
+        unknown = system.object_of_chain(oracles._OPEN_CHAIN) + 1
+        equations = refimpl.window_equations(f1, stated, unknown - 1, unknown, size)
+        rank = Echelon(dict(enumerate(row)) for row, _ in equations).rank
+        return "underdetermined", 0, {}, unknown * size - rank
+    equations = refimpl.window_equations(f1, stated, count, branches, size)
+    augmented = branches * size
+    equations.append(([1 if c == 1 else 0 for c in range(augmented)], 0))
+    echelon = Echelon({**dict(enumerate(row)), augmented: rhs} for row, rhs in equations)
+    if augmented in echelon.pivots:
+        return "infeasible", len(equations), {}, None
+    if echelon.rank < augmented:
+        return "underdetermined", len(equations), {}, augmented - echelon.rank
+    x = echelon.solution({augmented: -1})
+    if any(x[c].denominator != 1 or x[c] < 0 for c in range(augmented)):
+        return "infeasible", len(equations), {}, None
+    fitted = [oracles._fit_periodic([int(x[c]) for c in range(b, augmented, branches)], 4)
+              for b in range(branches)]
+    return certified(lambda i: fitted[i] if i < branches else system.character(i),
+                     len(equations))
+
+
+def _assert_every_column_semantics(name, system, truncation, assume):
+    try:
+        expected = _every_column_report(system, truncation, assume)
+    except RuntimeError as exc:  # the window solution has no periodic-affine tail
+        with pytest.raises(RuntimeError, match=str(exc)):
+            restriction_consistency_solve(name, truncation, assume)
+        return
+    report = restriction_consistency_solve(name, truncation, assume)
+    status, checked, characters, dim = expected
+    assert (report.status, report.relations_checked, report.characters) == \
+        (status, checked, characters), (name, truncation, assume)
+    assert (report.freedom is not None) == (dim is not None)
+    if dim is not None:
+        assert f"{dim}-dimensional" in report.freedom
+
+
+@pytest.mark.parametrize("name", ["takiff", "schrodinger", "dinf"])
+@pytest.mark.parametrize("assume", [False, True])
+def test_restriction_reports_match_the_every_column_reference(name, assume):
+    system = oracles._SYSTEMS[name]
+    low = oracles._DINF_MIN_ASSUMED_TRUNCATION if system.branches and assume else 4
+    for truncation in range(low, 41):
+        _assert_every_column_semantics(name, system, truncation, assume)
+
+
+def _mutations():
+    nat = IndexSet.nat()
+    for name in ("takiff", "schrodinger", "dinf"):
+        for sign in (1, -1):
+            for row in range(6):
+                for column in range(6):
+                    extra = PresentedMatrix(nat, max(row, column) + 1, {(row, column): sign})
+                    yield name, f"{sign:+d} at ({row}, {column})", extra
+            for offset in (-2, -1, 1, 2):
+                extra = PresentedMatrix(nat, diagonals={offset: sign})
+                yield name, f"{sign:+d} on diagonal {offset}", extra
+
+
+def test_translation_lemma_matches_the_every_column_reference_on_mutated_systems(monkeypatch):
+    # every single-entry change of F_1 near the head and every tail diagonal
+    # change: the reports and the action matrix's every-column certificate
+    # agree with the dense references, failing columns included
+    for name, label, extra in _mutations():
+        entry = oracles._SYSTEMS[name]
+        mutated = entry._replace(f1=entry.f1.add(extra))
+        with monkeypatch.context() as patch:
+            patch.setitem(oracles._SYSTEMS, name, mutated)
+            for assume in (False, True):
+                _assert_every_column_semantics(name, mutated, 12, assume)
+            window = 56
+            characters = [mutated.character(i).truncate(window) for i in range(window)]
+            failure = refimpl.first_failing_relation(
+                mutated.f1.truncate(window), characters, 40)
+            if failure is None:
+                assert restriction_action_matrix(name) == mutated.f1, label
+            else:
+                with pytest.raises(RuntimeError, match=f"column {failure} of the {name} "):
+                    restriction_action_matrix(name)
+
+
+def _column_checks_and_rows(monkeypatch, name, truncation):
+    """A_inf.apply calls (one per explicitly checked column), the rows the
+    elimination receives and the pivot entries Echelon.add reads."""
+    checks, rows, work = [], [], []
+    apply = PresentedMatrix.apply
+
+    def counted_apply(self, vec):
+        if self is oracles._A_INF:
+            checks.append(vec)
+        return apply(self, vec)
+
+    class CountedPivots(dict):
+        def get(self, lead, default=None):
+            row = dict.get(self, lead, default)
+            work.append(len(row) if row else 0)
+            return row
+
+    def counting_init(self, given=()):
+        self.pivots = CountedPivots()
+        for row in given:
+            rows.append(row)
+            self.add(row)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PresentedMatrix, "apply", counted_apply)
+        patch.setattr(Echelon, "__init__", counting_init)
+        report = restriction_consistency_solve(name, truncation, assume_restrictions=True)
+    assert report.status == "consistent"
+    return len(checks), len(rows), sum(work)
+
+
+def test_restriction_work_per_column_window_does_not_grow_with_the_truncation(monkeypatch):
+    for name in ("takiff", "schrodinger", "dinf"):
+        counts = [_column_checks_and_rows(monkeypatch, name, t) for t in (20, 80, 320)]
+        assert len({checks for checks, _, _ in counts}) == 1, (name, counts)
+    # assumed dinf writes the equations of relations 0..2, the ones with an
+    # unknown term, one per index 0..T, less the two branch equations at
+    # index T, which read L(T + 1); plus the normalization row
+    system = oracles._SYSTEMS["dinf"]
+    with_unknown = [j for j in range(system.object_of_chain(20) + 1)
+                    if j < 2 or any(i < 2 for i, _ in system.f1.col_entries(j))]
+    assert with_unknown == [0, 1, 2]
+    works = []
+    for t in (40, 80, 160, 320):
+        _, rows, work = _column_checks_and_rows(monkeypatch, "dinf", t)
+        assert rows == (t + 1) * len(with_unknown) - 2 + 1
+        works.append(work)
+    for small, large in zip(works, works[1:]):
+        assert large <= 2.1 * small, works
+
+
+def test_assumed_dinf_at_the_cap_answers_in_milliseconds(time_limit):
+    with time_limit(0.5):
+        report = restriction_consistency_solve("dinf", oracles.MAX_TRUNCATION, True)
+    assert report.status == "consistent"
+
+
 def test_restriction_truncation_precondition():
     with pytest.raises(ValueError):
         restriction_consistency_solve("takiff", truncation=3)
