@@ -349,13 +349,13 @@ def template(dtype: DynkinType) -> PresentedMatrix:
     return gcm_of(_template_adjacency(dtype))
 
 
-def template_types(max_rank: int = 8, min_rank: int = 1) -> list[DynkinType]:
-    """Every legal template type with rank in min_rank..max_rank, then the infinite types."""
+def template_types(max_rank: int = 8) -> list[DynkinType]:
+    """Every legal template type with rank bounded by max_rank."""
     out: list[DynkinType] = []
     for table, kind in ((CLASSICAL_RANKS, "classical"), (AFFINE_RANKS, "affine")):
         for family, (minimum, fixed) in table.items():
             ranks = range(minimum, max_rank + 1) if fixed is None else (fixed,)
-            out.extend(DynkinType(kind, family, n) for n in ranks if min_rank <= n <= max_rank)
+            out.extend(DynkinType(kind, family, n) for n in ranks if n <= max_rank)
     out.extend(DynkinType("infinite", f) for f in INFINITE_FAMILIES)
     return out
 
@@ -589,8 +589,8 @@ def _finite_templates(n: int) -> dict[tuple, list[tuple[DynkinType, list[list[in
     affine templates on n vertices, in template_types order.  A template of
     rank r has r or r + 1 vertices, so only ranks n - 1 and n are built."""
     out: dict = {}
-    for dtype in template_types(n, n - 1):
-        if dtype.kind != "infinite":
+    for dtype in template_types(n):
+        if dtype.kind != "infinite" and dtype.rank >= n - 1:
             edges, count = _diagram(dtype)
             if count == n:
                 dense = [[edges.get((i, j), 0) for j in range(n)] for i in range(n)]

@@ -26,7 +26,6 @@ The weights of L(n) and the Clebsch-Gordan rule are read from
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections import Counter, namedtuple
 from fractions import Fraction
@@ -514,14 +513,13 @@ def _relation_holds(system: _System, character: Callable[[int], SlCharacter], j:
     return bool(terms) and _A_INF.apply(character(j)) == reduce(PresentedVector.add, terms)
 
 
-def _translates(system: _System, character: Callable[[int], SlCharacter], j: int,
-                known: int = 0) -> bool:
+def _translates(system: _System, character: Callable[[int], SlCharacter], j: int) -> bool:
     """The translation lemma's hypotheses at column j: relation j then proves every later one.
 
     With S and C = A_inf S - S A_inf as in _shift_commutator, suppose
       * j >= f1.tail_start(), so column j + 1 of f1 is S applied to column j;
-      * every object from j - band on is a chain object (and not below
-        known), so character(i + 1) = S character(i) there: tower(n + 1) is
+      * every object from j - band on is a chain object, so
+        character(i + 1) = S character(i) there: tower(n + 1) is
         tower(n) shifted, checked at the first of them, and tower(n) is n
         zeros before one fixed tail, so the check at one n holds at every n;
       * character(j) vanishes on the columns of C.
@@ -531,27 +529,28 @@ def _translates(system: _System, character: Callable[[int], SlCharacter], j: int
     and schrodinger and 3 on dinf.
     """
     low = j - system.f1.band
-    if j < system.f1.tail_start() or low < max(known, len(system.branches)):
+    if j < system.f1.tail_start() or low < len(system.branches):
         return False
     shift, reach = _shift_commutator()
     return (not any(character(j).truncate(reach))
             and character(low + 1) == shift.apply(character(low)))
 
 
-def _first_failure(system: _System, character: Callable[[int], SlCharacter],
-                   count: int | None = None) -> int | None:
-    """The first column below count (of every column if None) whose relation fails.
+def _first_failure(system: _System, character: Callable[[int], SlCharacter]) -> int | None:
+    """The first column whose relation fails, or None if every relation holds.
 
     Columns are checked in order until the translation lemma (_translates)
-    certifies every later one, so the work does not grow with count; its
-    hypotheses hold from some column on, so the walk over every column ends.
+    certifies every later one, so the work does not depend on how many
+    columns a caller asks about; its hypotheses hold from some column on,
+    so the walk ends.
     """
-    for j in range(count) if count is not None else itertools.count():
+    j = 0
+    while True:
         if not _relation_holds(system, character, j):
             return j
         if _translates(system, character, j):
             return None
-    return None
+        j += 1
 
 
 def _certify(name: str, system: _System, character: Callable[[int], SlCharacter], count: int,
@@ -560,10 +559,11 @@ def _certify(name: str, system: _System, character: Callable[[int], SlCharacter]
 
     Columns 0..j0 are checked explicitly and the translation lemma
     (_translates) certifies the rest.  An infeasible report counts the
-    columns that held before the first failure, which is at or below j0.
+    columns that held before the first failure, which is at or below j0;
+    a failure at or past count lies outside the checked columns.
     """
-    failure = _first_failure(system, character, count)
-    if failure is not None:
+    failure = _first_failure(system, character)
+    if failure is not None and failure < count:
         return RestrictionReport(name, "infeasible", solved_rows + failure, {})
     shown = {system.object(i)[0]: character(i)
              for i in range(system.object_of_chain(_SHOWN_CHAIN) + 1)}
@@ -588,6 +588,9 @@ def _relation_rows(system: _System, count: int, unknown: int, size: int,
     and the count is the third value.  From the first such column where
     the translation lemma applies (_translates) every later relation is
     one of them, so only the relations that read an unknown are written.
+    The lemma's hypotheses take the unknown objects to be exactly the
+    branch objects; it is reached only past them (j >= unknown), which an
+    unassumed solve, with unknown - 1 relations, never is.
     """
     written = []
     implied = 0
@@ -595,7 +598,7 @@ def _relation_rows(system: _System, count: int, unknown: int, size: int,
         targets = list(system.f1.col_entries(j))
         if (j >= unknown and all(i >= unknown and v > 0 for i, v in targets)
                 and _relation_holds(system, system.character, j)):
-            if _translates(system, system.character, j, unknown):
+            if _translates(system, system.character, j):
                 implied += (count - j) * size
                 break
             implied += size
