@@ -22,7 +22,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -452,6 +451,7 @@ def _cmd_o_tensor(args) -> int:
 
 
 def _cmd_jordan(args) -> int:
+    from fractions import Fraction  # the one verb with a rational input
     try:
         lam = Fraction(args.eigenvalue)
     except (ValueError, ZeroDivisionError) as exc:

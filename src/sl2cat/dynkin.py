@@ -9,15 +9,14 @@ machine-checkable certificate: exact leading principal minors plus
 ultraspherical annihilation for the positive definite types, and an exact
 strictly positive null vector for the affine and infinite types.
 
-All arithmetic is integer or Fraction; nothing here is numerical.
+All arithmetic is integer; nothing here is numerical.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable
 
 from .fusion import action
@@ -383,20 +382,6 @@ def check_coxeter_annihilation(dtype: DynkinType) -> bool:
     return action(adjacency, h - 1).is_zero()
 
 
-# -- exact linear algebra helpers ---------------------------------------------
-
-
-def _primitive_integer(vec: list[Fraction]) -> list[int]:
-    scale = lcm(*(x.denominator for x in vec)) if vec else 1
-    ints = [int(x * scale) for x in vec]
-    g = gcd(*ints) if any(ints) else 1
-    ints = [x // g for x in ints]
-    first = next((x for x in ints if x != 0), 1)
-    if first < 0:
-        ints = [-x for x in ints]
-    return ints
-
-
 # -- null vectors ----------------------------------------------------------------
 
 
@@ -413,12 +398,11 @@ def find_positive_null_vector(gcm: PresentedMatrix) -> PresentedVector | None:
     if index.kind == "finite":
         n = index.size
         basis = Echelon(dict(enumerate(row)) for row in gcm.truncate(n)).kernel(n)
-        if len(basis) != 1:
+        # a kernel vector is primitive and positive at its free column, so
+        # a strictly positive one needs no sign change
+        if len(basis) != 1 or any(x <= 0 for x in basis[0]):
             return None
-        ints = _primitive_integer(basis[0])
-        if any(x <= 0 for x in ints):
-            return None
-        vec = PresentedVector(index, ints)
+        vec = PresentedVector(index, basis[0])
     elif index.kind == "int":
         if sum(gcm.diagonals().values()) != 0:
             return None
@@ -444,8 +428,7 @@ def find_positive_null_vector(gcm: PresentedMatrix) -> PresentedVector | None:
         basis = Echelon(rows).kernel(unknowns)
         if len(basis) != 1:
             return None
-        ints = _primitive_integer(basis[0])
-        head, a, b = ints[:head_len], ints[-2], ints[-1]
+        *head, a, b = basis[0]
         vec = PresentedVector(index, head, [(a, b)])
         if not vec.is_strictly_positive():
             vec = PresentedVector(index, [-x for x in head], [(-a, -b)])

@@ -3,12 +3,12 @@
 Every exact linear-algebra answer in the package (ranks, kernel bases,
 unique solutions, leading principal minors) is read off one sparse
 row echelon form over the integers, and every connectivity answer comes
-from one reachability search.
+from one reachability search.  Nothing here leaves the integers: a
+rational solution is an integer vector over one common denominator.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Mapping
 
@@ -63,26 +63,41 @@ class Echelon:
                     work.pop(c, None)
         return work, scale
 
-    def solution(self, free: Mapping[int, int]) -> dict[int, Fraction]:
-        """The vector every pivot row annihilates, by back substitution.
+    def solution(self, free: Mapping[int, int]) -> tuple[dict[int, int], int]:
+        """The vector every pivot row annihilates, by back substitution over Z.
 
         ``free`` gives the values on non-pivot columns (absent means 0);
-        each pivot column is then solved for from its row.
+        each pivot column is then solved for from its row.  Returns
+        ``(x, d)``: integers x and a denominator d > 0 with
+        gcd(d, x...) = 1, such that x / d is the rational solution.  At a
+        pivot p with rest r and g = gcd(r, p), x and d are scaled by
+        s = |p| / g and the pivot's value is -sign(p) r / g, prime to s.
+        A prime q of d does not divide the value set at the last scaling
+        by a multiple of q, so the normal form needs no final division.
         """
-        x = {c: Fraction(v) for c, v in free.items()}
+        x = dict(free)
+        d = 1
         for lead in sorted(self.pivots, reverse=True):
             row = self.pivots[lead]
-            rest = sum((v * x[c] for c, v in row.items() if c != lead and c in x), Fraction(0))
-            x[lead] = -rest / row[lead]
-        return x
+            rest = sum(v * x[c] for c, v in row.items() if c != lead and c in x)
+            pivot = row[lead]
+            g = gcd(rest, pivot)
+            scale = abs(pivot) // g
+            if scale != 1:
+                x = {c: scale * v for c, v in x.items()}
+                d *= scale
+            x[lead] = -rest // g if pivot > 0 else rest // g
+        return x, d
 
-    def kernel(self, columns: int) -> list[list[Fraction]]:
-        """Right kernel basis: one vector per non-pivot column, set to 1 there."""
+    def kernel(self, columns: int) -> list[list[int]]:
+        """Right kernel basis: one integer vector per non-pivot column, zero
+        on the others and, at its own, the denominator of ``solution``, so
+        each vector is primitive and positive at its free column."""
         basis = []
         for free in range(columns):
             if free not in self.pivots:
-                x = self.solution({free: 1})
-                basis.append([x.get(c, Fraction(0)) for c in range(columns)])
+                x, _ = self.solution({free: 1})
+                basis.append([x.get(c, 0) for c in range(columns)])
         return basis
 
 

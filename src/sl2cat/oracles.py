@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter, namedtuple
-from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Callable, Iterable, Mapping
 
@@ -612,11 +611,13 @@ def _relation_rows(system: _System, count: int, unknown: int, size: int,
     # pivot rows of nearby indices, so elimination stays linear in the window
     for k in range(size):
         for j, targets, known in written:
-            # L(k) occurs in L(i) (x) L(1) exactly when i is in cg_support(k, 1)
+            # L(k) occurs in L(i) (x) L(1) exactly when i is in cg_support(k, 1);
+            # its top, k + 1, leaves the window only at the last index, where
+            # an unknown object's term is not determined
+            if j < unknown and k == size - 1:
+                continue
             terms = [(j, src, 1) for src in cg_support(k, 1)]
             terms += [(i, k, -v) for i, v in targets]
-            if any(i < unknown and idx >= size for i, idx, _ in terms):
-                continue
             row: dict[int, int] = {}
             acc = 0
             for i, idx, sign in terms:
@@ -651,11 +652,11 @@ def _solve_branches(name: str, system: _System, truncation: int) -> RestrictionR
             f"{augmented - echelon.rank}-dimensional ambiguity remains even with "
             "assumed restrictions",
         )
-    x = echelon.solution({augmented: -1})
+    x, d = echelon.solution({augmented: -1})
     solution = [x[c] for c in range(augmented)]
-    if any(v.denominator != 1 or v < 0 for v in solution):
+    if d != 1 or any(v < 0 for v in solution):
         return RestrictionReport(name, "infeasible", checked, {})
-    fitted = [_fit_periodic([int(v) for v in solution[b::unknown]], _DINF_PERIOD)
+    fitted = [_fit_periodic(solution[b::unknown], _DINF_PERIOD)
               for b in range(unknown)]
 
     # certify the fitted characters symbolically on the same columns
@@ -756,6 +757,7 @@ def jordan_kronecker_oracle(n: int, lam) -> JordanPartition:
         raise ValueError("need n >= 1")
     if n > MAX_JORDAN_N:
         raise ValueError(f"the Jordan cell needs n <= {MAX_JORDAN_N}, got {n}")
+    from fractions import Fraction  # only this oracle takes a rational input
     lam = Fraction(lam)
 
     # column s * n + t holds N(e_s (x) f_t)

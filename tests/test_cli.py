@@ -1103,6 +1103,36 @@ def test_import_loads_no_dataclasses_or_inspect():
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
 
 
+def test_only_the_jordan_oracle_imports_fractions(tmp_path, a2_file):
+    # the exact kernel stays in the integers; only a rational eigenvalue needs fractions
+    src = str(Path(modcat.__file__).resolve().parents[1])
+    affine = write_matrix(tmp_path, "a1t.json", [[2, -2], [-2, 2]])
+    argvs = [
+        ["verify-catalog", "--json"],
+        ["derive", "--model", "Dinf", "--upto", "4"],
+        ["classify", "--gcm", a2_file, "--certificate"],
+        ["classify", "--gcm", affine, "--certificate"],
+        ["obstruction", "--model", "BinfDual", "--depth", "2"],
+        ["oracle", "restrictions", "--system", "dinf", "--assume-restrictions"],
+        ["decompose", "--tensor", "L(1) x P(-2)"],
+        ["oracle", "o-tensor", "--n", "1", "--object", "P(-2)"],
+        ["transitive", "--model", "Tinf"],
+        ["render", "--model", "Tinf", "--dot", "-", "--size", "3"],
+        ["predict", "--theorem", "10.1", "--case", "e"],
+    ]
+    code = (f"import io, sys; sys.path.insert(0, {src!r})\n"
+            "from contextlib import redirect_stdout\n"
+            "from sl2cat import cli\n"
+            "heavy = ('fractions', 'decimal', '_decimal', 'numbers')\n"
+            f"for argv in {argvs!r}:\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "print(sorted(set(heavy) & set(sys.modules)))\n"
+            "cli.main(['oracle', 'jordan', '--n', '3', '--lambda=-9/4'])\n")
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\nJ_4(-9/4) + J_2(-9/4)\n")
+
+
 _ONE = PresentedMatrix(IndexSet.finite(1), head={(0, 0): 1})
 _ONE_REPR = "PresentedMatrix(IndexSet.finite(1), head_size=1, head=[((0, 0), 1)], diagonals={})"
 _A3 = "DynkinType(kind='classical', family='A', rank=3)"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -73,7 +74,31 @@ def test_back_substitution_matches_fraction_solution(dense, rhs):
     (ref,) = refimpl.rational_kernel(augmented)
     expected = [x / -ref[n] for x in ref[:n]]
     assert n not in echelon.pivots
-    solution = echelon.solution({n: -1})
-    assert [solution[c] for c in range(n)] == expected
-    assert all(isinstance(x, Fraction) for x in solution.values())
+    x, d = echelon.solution({n: -1})
+    assert [Fraction(x[c], d) for c in range(n)] == expected
+    assert d > 0 and gcd(d, *x.values()) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices(), st.data())
+def test_solution_and_kernel_are_integer_normal_forms(dense, data):
+    cols = len(dense[0])
+    echelon = Echelon(sparse(dense))
+    free_columns = [c for c in range(cols) if c not in echelon.pivots]
+    theirs = refimpl.rational_kernel(dense)
+    assert len(theirs) == len(free_columns)
+    # both bases are indexed by the same free columns, each set to 1 on its own
+    values = {c: data.draw(ENTRY) for c in free_columns}
+    x, d = echelon.solution(values)
+    assert d > 0 and gcd(d, *x.values()) == 1
+    expected = [sum((v * vec[c] for v, vec in zip(values.values(), theirs)), Fraction(0))
+                for c in range(cols)]
+    assert [Fraction(x.get(c, 0), d) for c in range(cols)] == expected
+    ours = echelon.kernel(cols)
+    for free, vec in zip(free_columns, ours):
+        assert gcd(*vec) == 1 and vec[free] > 0
+        assert all(vec[c] == 0 for c in free_columns if c != free)
+        assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in dense)
+    if theirs:
+        assert refimpl.rank(ours + theirs) == len(theirs) == len(ours)
 

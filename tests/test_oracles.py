@@ -438,10 +438,10 @@ def _every_column_report(system, truncation, assume):
         return "infeasible", len(equations), {}, None
     if echelon.rank < augmented:
         return "underdetermined", len(equations), {}, augmented - echelon.rank
-    x = echelon.solution({augmented: -1})
-    if any(x[c].denominator != 1 or x[c] < 0 for c in range(augmented)):
+    x, d = echelon.solution({augmented: -1})
+    if d != 1 or any(x[c] < 0 for c in range(augmented)):
         return "infeasible", len(equations), {}, None
-    fitted = [oracles._fit_periodic([int(x[c]) for c in range(b, augmented, branches)], 4)
+    fitted = [oracles._fit_periodic([x[c] for c in range(b, augmented, branches)], 4)
               for b in range(branches)]
     return certified(lambda i: fitted[i] if i < branches else system.character(i),
                      len(equations))
