@@ -18,7 +18,8 @@ import enum
 import json
 from collections import namedtuple
 from functools import cache, lru_cache
-from importlib import resources
+from math import gcd
+from pathlib import Path
 
 from . import oracles
 from .dynkin import INFINITE_FAMILIES, Classification, DynkinType, GCMError, classify, gcm_of
@@ -102,7 +103,8 @@ class Transitivity(enum.Enum):
 
 @lru_cache(maxsize=1)
 def _load_catalog() -> dict:
-    raw = resources.files("sl2cat").joinpath("fixtures/catalog.json").read_text("utf-8")
+    # by path: importlib.resources loads zipfile, tempfile, shutil, lzma and bz2
+    raw = Path(__file__).with_name("fixtures").joinpath("catalog.json").read_text("utf-8")
     return {name: ModuleCategoryModel.from_json(body, name=name)
             for name, body in json.loads(raw).items()}
 
@@ -171,27 +173,25 @@ def _strongly_connected(f1: PresentedMatrix, n: int) -> bool:
 def is_transitive(m: ModuleCategoryModel) -> Transitivity:
     """Strong connectivity of the action graph.
 
-    Decided exactly on finite models.  On infinite presentations a
-    sufficient criterion is used: both a super- and a sub-diagonal tail
-    symbol (so the ray is walkable in both directions) plus strong
-    connectivity of a head window; when the window check fails the
-    answer is UNKNOWN rather than a guess.
+    Decided exactly on finite models.  On infinite presentations the
+    answer is NO without both a super- and a sub-diagonal tail symbol, or
+    when every stored offset (the tail diagonals and j - i of each head
+    entry) is a multiple of some g > 1, since then no edge leaves a residue
+    class mod g.  Otherwise a pure Toeplitz matrix on Z is transitive; on N
+    a sufficient criterion is strong connectivity of a head window, and
+    when that check fails the answer is UNKNOWN rather than a guess.
     """
     f1 = m.f1
     if f1.index.kind == "finite":
         ok = _strongly_connected(f1, f1.index.size)
         return Transitivity.YES if ok else Transitivity.NO
-    up = any(d < 0 and v != 0 for d, v in f1.diagonals().items())
-    down = any(d > 0 and v != 0 for d, v in f1.diagonals().items())
-    if not (up and down):
+    diagonals = f1.diagonals()  # only nonzero symbols are stored
+    if not (any(d < 0 for d in diagonals) and any(d > 0 for d in diagonals)):
+        return Transitivity.NO
+    if gcd(*diagonals, *(j - i for i, j, _ in f1.head_entries())) > 1:
         return Transitivity.NO
     if f1.index.kind == "int":
-        from math import gcd
-        g = 0
-        for d, v in f1.diagonals().items():
-            if d != 0 and v != 0:
-                g = gcd(g, abs(d))
-        return Transitivity.YES if g == 1 else Transitivity.NO
+        return Transitivity.YES
     window = f1.tail_start() + f1.band
     if _strongly_connected(f1, window):
         return Transitivity.YES

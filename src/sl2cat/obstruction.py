@@ -14,13 +14,15 @@ must satisfy:
   * a module whose top (or socle) is everything is semisimple, so the
     other side is everything as well (applied up to length four).
 
-Each unknown multiplicity is an integer variable: the n-th composition
-factor [F_a S_j : S_k] has variable 2n for its top and 2n + 1 for its
-socle multiplicity, with interval domains in two flat lists.  Rules read
-variables by id; the (side, a, j, k) key of an id is read only to name it
-in a trace, and a witness is read off in variable order.  A rule keeps
-its identity as a compact spec, and the event dict is rendered from it
-only when a traced narrowing is recorded or a violation reported.
+Each unknown multiplicity is an integer variable with an interval domain
+in two flat lists.  The layout is stated once, in _fresh_state: the n-th
+composition factor [F_a S_j : S_k] has variable 2n for its top and 2n + 1
+for its socle multiplicity, and state.top maps (a, j, k) to 2n.  A rule is
+data, a (run, args) pair applied as run(state, *args): run is _equal,
+_bound_sum (every sum) or _semisimple, and args starts with the tuple of
+variable ids it reads and ends with its identity as a compact spec, from
+which the event dict is rendered only when a traced narrowing is recorded
+or a violation reported.
 
 Each identity is one rule: an adjunction pair is built once, when its
 first factor is visited, and a simple module, whose top and socle are
@@ -131,21 +133,16 @@ def _event(spec: tuple) -> dict:
     return {"constraint": constraint}
 
 
-def _var_name(key: tuple) -> str:
-    side, a, j, k = key
-    word = "top" if side == "t" else "socle"
-    return f"[{word} F_{a} S_{j} : S_{k}]"
-
-
 class _State:
     """Interval domains on integer variables, a trail and an optional trace.
 
-    Variable v has the domain [lo[v], hi[v]] and stands for keys[v], a
-    (side, a, j, k) tuple read only to name it in a trace.
+    Variable v has the domain [lo[v], hi[v]].  keys[v] is its factor
+    (a, j, k), and top, the layout _fresh_state builds, maps each factor
+    to its top variable; the socle variable is the next id.
     """
 
-    def __init__(self, keys: list, lo: list, hi: list, trace: list | None):
-        self.keys, self.lo, self.hi = keys, lo, hi
+    def __init__(self, keys: list, lo: list, hi: list, trace: list | None, top: dict):
+        self.keys, self.lo, self.hi, self.top = keys, lo, hi, top
         self.trace = trace
         self.trail: list[tuple] = []  # (v, old lo, old hi), undone by undo()
 
@@ -162,7 +159,8 @@ class _State:
         if lo > hi:
             raise _Violation(spec)
         if self.trace is not None:
-            name = _var_name(self.keys[v])
+            a, j, k = key = self.keys[v]
+            name = f"[{'top' if self.top[key] == v else 'socle'} F_{a} S_{j} : S_{k}]"
             pinned = {"variable": name, "value": lo} if lo == hi \
                 else {"variable": name, "range": [lo, hi]}
             self.trace.append({**_event(spec), "status": "established", "pinned": pinned})
@@ -178,18 +176,17 @@ class _State:
         return lo if lo == self.hi[v] else None
 
 
-def _rule_equal(x: int, y: int, spec: tuple):
-    def run(state: _State) -> None:
-        lo, hi = state.lo, state.hi
-        if lo[x] != lo[y] or hi[x] != hi[y]:  # equal domains narrow nothing
-            new_lo, new_hi = max(lo[x], lo[y]), min(hi[x], hi[y])
-            state.narrow(x, new_lo, new_hi, spec)
-            state.narrow(y, new_lo, new_hi, spec)
-    run.ids = (x, y)
-    return run
+def _equal(state: _State, ids: tuple, spec: tuple) -> None:
+    """Narrow both variables of ids = (x, y) to the meet of their domains."""
+    x, y = ids
+    lo, hi = state.lo, state.hi
+    if lo[x] != lo[y] or hi[x] != hi[y]:  # equal domains narrow nothing
+        new_lo, new_hi = max(lo[x], lo[y]), min(hi[x], hi[y])
+        state.narrow(x, new_lo, new_hi, spec)
+        state.narrow(y, new_lo, new_hi, spec)
 
 
-def _bound_sum(state: _State, ids: list, low: int, high: int | None, spec: tuple) -> None:
+def _bound_sum(state: _State, ids: tuple, low: int, high: int | None, spec: tuple) -> None:
     """Narrow each variable so that low <= sum(ids) <= high (None: no upper bound)."""
     lows = [state.lo[v] for v in ids]
     highs = [state.hi[v] for v in ids]
@@ -202,37 +199,28 @@ def _bound_sum(state: _State, ids: list, low: int, high: int | None, spec: tuple
         state.narrow(v, low - (sum_hi - hi), high - (sum_lo - lo), spec)
 
 
-def _rule_sum(ids: list, low: int, high: int | None, spec: tuple):
-    def run(state: _State) -> None:
-        _bound_sum(state, ids, low, high, spec)
-    run.ids = tuple(ids)
-    return run
-
-
-def _rule_semisimple(t_ids: list, s_ids: list, mults: list, length: int, spec: tuple):
-    # top equals everything <=> the module is semisimple <=> socle equals
-    # everything; propagated in both directions, including the contrapositive
-    def run(state: _State) -> None:
-        lo, hi = state.lo, state.hi
-        if sum(lo[v] for v in t_ids) == length:
-            for v, mult in zip(s_ids, mults):
-                state.narrow(v, mult, mult, spec)
-        if sum(lo[v] for v in s_ids) == length:
-            for v, mult in zip(t_ids, mults):
-                state.narrow(v, mult, mult, spec)
-        if any(hi[v] < mult for v, mult in zip(s_ids, mults)):
-            _bound_sum(state, t_ids, 0, length - 1, spec)
-        if any(hi[v] < mult for v, mult in zip(t_ids, mults)):
-            _bound_sum(state, s_ids, 0, length - 1, spec)
-    run.ids = (*t_ids, *s_ids)
-    return run
+def _semisimple(state: _State, ids: tuple, mults: tuple, length: int, spec: tuple) -> None:
+    """Top is everything <=> semisimple <=> socle is everything, both ways and
+    contrapositively; ids are the top variables of mults' factors, then the socle ones."""
+    t_ids, s_ids = ids[:len(mults)], ids[len(mults):]
+    lo, hi = state.lo, state.hi
+    if sum(lo[v] for v in t_ids) == length:
+        for v, mult in zip(s_ids, mults):
+            state.narrow(v, mult, mult, spec)
+    if sum(lo[v] for v in s_ids) == length:
+        for v, mult in zip(t_ids, mults):
+            state.narrow(v, mult, mult, spec)
+    if any(hi[v] < mult for v, mult in zip(s_ids, mults)):
+        _bound_sum(state, t_ids, 0, length - 1, spec)
+    if any(hi[v] < mult for v, mult in zip(t_ids, mults)):
+        _bound_sum(state, s_ids, 0, length - 1, spec)
 
 
 def _watch_index(rules: list, count: int) -> list[list[int]]:
     """Variable -> ascending indices of the rules that read it."""
     watch: list[list[int]] = [[] for _ in range(count)]
-    for idx, rule in enumerate(rules):
-        for v in rule.ids:
+    for idx, (_, args) in enumerate(rules):
+        for v in args[0]:
             watch[v].append(idx)
     return watch
 
@@ -251,7 +239,8 @@ def _propagate(state: _State, rules: list, watch: list, seed) -> None:
     while idx >= 0:
         current[idx] = 0
         mark = len(trail)
-        rules[idx](state)
+        run, args = rules[idx]
+        run(state, *args)
         for v, _, _ in trail[mark:]:
             for r in watch[v]:
                 if r > idx:
@@ -296,41 +285,43 @@ def _objects_of(comps: dict) -> list[int]:
 
 def _witness_from(state: _State, comps: dict) -> list:
     """Top and socle factors of each F_a S_j with a >= 1, in variable order."""
-    out, v = [], 0
+    out = []
     for (a, j), comp in comps.items():
+        if not a:
+            continue
         top, soc = {}, {}
         for k in comp:
+            v = state.top[(a, j, k)]
             t, s = state.value(v), state.value(v + 1)
             if t:
                 top[str(k)] = t
             if s:
                 soc[str(k)] = s
-            v += 2
-        if a:
-            out.append({"degree": a, "object": j, "top": top, "socle": soc})
+        out.append({"degree": a, "object": j, "top": top, "socle": soc})
     return out
 
 
 def _fresh_state(comps: dict, trace: list | None) -> _State:
     """Degree 0 is the identity functor; F_a S_j for a >= 1 starts open.
 
-    The n-th factor [F_a S_j : S_k] in comps order gets variable 2n for
-    its top multiplicity and 2n + 1 for its socle multiplicity.
+    The n-th factor [F_a S_j : S_k] in comps order gets variable 2n =
+    top[(a, j, k)] for its top multiplicity and 2n + 1 for its socle one.
     """
-    keys, lo, hi = [], [], []
+    keys, lo, hi, top = [], [], [], {}
     for (a, j), comp in comps.items():
         for k, mult in comp.items():
             floor = mult if a == 0 else 0
-            keys += (("t", a, j, k), ("s", a, j, k))
+            key = (a, j, k)
+            top[key] = len(keys)
+            keys += (key, key)
             lo += (floor, floor)
             hi += (mult, mult)
-    return _State(keys, lo, hi, trace)
+    return _State(keys, lo, hi, trace, top)
 
 
 def _build_rules(comps: dict, depth: int, schur_dim: int, state: _State) -> list:
-    # (a, j, k) -> the top variable of [F_a S_j : S_k]; the socle one is next
-    top = {key: 2 * n for n, key in enumerate(
-        (a, j, k) for (a, j), comp in comps.items() for k in comp)}
+    """The identities as (run, args) pairs in rule order; pins need no rule."""
+    top = state.top
     rules = []
     # length-one modules are simple: top = socle = the single factor
     for (a, j), comp in comps.items():
@@ -356,10 +347,10 @@ def _build_rules(comps: dict, depth: int, schur_dim: int, state: _State) -> list
                     state.narrow(v + 1, 0, 0, ("adjunction", a, j, k, "socle"))
                 elif j < k:
                     w = top[(a, k, j)]
-                    rules.append(_rule_equal(v, w + 1, ("adjunction", a, j, k, "top")))
-                    rules.append(_rule_equal(v + 1, w, ("adjunction", a, j, k, "socle")))
+                    rules.append((_equal, ((v, w + 1), ("adjunction", a, j, k, "top"))))
+                    rules.append((_equal, ((v + 1, w), ("adjunction", a, j, k, "socle"))))
                 elif j == k:
-                    rules.append(_rule_equal(v, v + 1, ("adjunction", a, j, k, "top")))
+                    rules.append((_equal, ((v, v + 1), ("adjunction", a, j, k, "top"))))
 
     # endomorphism dimension of a simple image, written through adjunction:
     # dim End(F_a S_j) = sum over c in CG(a,a) of [socle F_c S_j : S_j]
@@ -370,27 +361,27 @@ def _build_rules(comps: dict, depth: int, schur_dim: int, state: _State) -> list
             if sum(comps[(a, j)].values()) != 1:
                 continue
             for side, word in ((1, "socle"), (0, "top")):
-                ids = [top[(c, j, j)] + side for c in support if j in comps[(c, j)]]
-                rules.append(_rule_sum(ids, schur_dim, schur_dim,
-                                       ("end-dim", a, j, word, schur_dim)))
+                ids = tuple(top[(c, j, j)] + side for c in support if j in comps[(c, j)])
+                rules.append((_bound_sum, (ids, schur_dim, schur_dim,
+                                           ("end-dim", a, j, word, schur_dim))))
 
     for (a, j), comp in comps.items():
         if a == 0:
             continue
         length = sum(comp.values())
-        t_ids = [top[(a, j, k)] for k in comp]  # comp is ascending in k
-        s_ids = [v + 1 for v in t_ids]
+        t_ids = tuple(top[(a, j, k)] for k in comp)  # comp is ascending in k
+        s_ids = tuple(v + 1 for v in t_ids)
         if 2 <= length <= 4:
             # nonzero module: nonzero top and socle (a simple one is pinned above)
             for ids, word in ((t_ids, "top"), (s_ids, "socle")):
-                rules.append(_rule_sum(ids, 1, None, ("nonzero", a, j, word)))
+                rules.append((_bound_sum, (ids, 1, None, ("nonzero", a, j, word))))
         if length == 2:
             # every factor of a length-two module lies in its top or socle
             for (k, mult), v in zip(comp.items(), t_ids):
-                rules.append(_rule_sum([v, v + 1], mult, None, ("covering", a, j, k, mult)))
+                rules.append((_bound_sum, ((v, v + 1), mult, None, ("covering", a, j, k, mult))))
         if 2 <= length <= 4:
-            rules.append(_rule_semisimple(t_ids, s_ids, list(comp.values()), length,
-                                          ("semisimple-closure", a, j)))
+            rules.append((_semisimple, (t_ids + s_ids, tuple(comp.values()), length,
+                                        ("semisimple-closure", a, j))))
     return rules
 
 
@@ -482,12 +473,12 @@ def solve_feasibility(f1: PresentedMatrix, depth: int, schur_dim: int = 1,
             # untraced; every variable is pinned, so one run of each rule decides
             mark, state.trace = len(state.trail), None
             try:
-                factors = [mult for comp in comps.values() for mult in comp.values()]
-                for n, mult in enumerate(factors):
-                    state.narrow(2 * n, mult, mult, _WITNESS)
-                    state.narrow(2 * n + 1, mult, mult, _WITNESS)
-                for rule in rules:
-                    rule(state)
+                for (a, j, k), v in state.top.items():
+                    mult = comps[(a, j)][k]
+                    state.narrow(v, mult, mult, _WITNESS)
+                    state.narrow(v + 1, mult, mult, _WITNESS)
+                for run, args in rules:
+                    run(state, *args)
                 witness = _witness_from(state, comps)
                 return ObstructionReport("SAT", depth, schur_dim, witness, [{
                     "constraint": "semisimple-witness", "status": "established",

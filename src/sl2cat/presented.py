@@ -140,7 +140,7 @@ def _as_int(value) -> int:
 class PresentedMatrix:
     """Immutable countably-indexed integer matrix in head + Toeplitz-tail form."""
 
-    __slots__ = ("index", "head_size", "band", "_diags", "_rows", "_cols")
+    __slots__ = ("index", "head_size", "band", "_diags", "_rows", "_cols", "_norm")
 
     def __init__(
         self,
@@ -540,12 +540,14 @@ class PresentedMatrix:
     # -- identity -----------------------------------------------------------
 
     def _key(self):
-        return (
-            self.index,
-            self.head_size,
-            tuple(sorted(self._items())),
-            tuple(sorted(self._diags.items())),
-        )
+        """The normal form behind == and hashing, kept in _norm: F_1 is hashed per action call."""
+        try:
+            return self._norm
+        except AttributeError:
+            key = (self.index, self.head_size, tuple(sorted(self._items())),
+                   tuple(sorted(self._diags.items())))
+            object.__setattr__(self, "_norm", key)
+            return key
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PresentedMatrix) and self._key() == other._key()

@@ -1092,15 +1092,20 @@ def test_installed_script_runs():
 
 
 def test_import_loads_no_dataclasses_or_inspect():
-    # a fresh interpreter: pytest itself imports these modules
+    # a fresh interpreter: pytest itself imports these modules; site may load
+    # importlib.resources, so only a process without it (-S) shows that the
+    # catalog read pulls in none of zipfile, tempfile, shutil, lzma and bz2
     src = str(Path(modcat.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r})\n"
-            "import sl2cat.cli\n"
-            "from sl2cat import modcat\n"
-            "modcat.catalog_names()\n"
-            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
-    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    resources = {"importlib.resources", "zipfile", "tempfile", "shutil", "lzma", "bz2"}
+    for flags, banned in ((["-I"], heavy), (["-I", "-S"], heavy | resources)):
+        code = (f"import sys; sys.path.insert(0, {src!r})\n"
+                "import sl2cat.cli\n"
+                "from sl2cat import modcat\n"
+                "modcat.catalog_names()\n"
+                f"print(sorted(set({sorted(banned)!r}) & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n"), flags
 
 
 def test_only_the_jordan_oracle_imports_fractions(tmp_path, a2_file):

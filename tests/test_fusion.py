@@ -117,3 +117,24 @@ def test_action_reaches_a_deep_index_without_recursion():
     swap = PresentedMatrix.from_dense([[0, 1], [1, 0]])
     assert fusion.action(swap, 6000) == fusion.action(swap, 0)
     assert fusion.action(swap, 6001) == swap
+
+
+def test_repeated_actions_build_the_key_of_f1_once(monkeypatch):
+    # the chain cache hashes F_1 on every lookup; its normal form, a sort of
+    # the whole head, is built on the first and kept
+    f1 = PresentedMatrix(IndexSet.nat(), 3, {(0, 1): 2, (1, 0): 1, (1, 2): 1, (2, 1): 1},
+                         {-1: 1, 1: 1})
+    items, built = PresentedMatrix._items, []
+
+    def counted(self):
+        if self is f1:
+            built.append(self)
+        return items(self)
+
+    monkeypatch.setattr(PresentedMatrix, "_items", counted)
+    for _ in range(5):
+        for i in range(6):
+            fusion.action(f1, i)
+    assert len(built) == 1
+    twin = PresentedMatrix(f1.index, 3, f1.head_entries(), f1.diagonals())
+    assert twin == f1 and hash(twin) == hash(f1)  # the kept key is the normal form

@@ -238,6 +238,30 @@ small_matrices = st.one_of(
 )
 
 
+def test_transitivity_on_nat_with_a_common_step():
+    # with tail diagonals +-2 and no head, even and odd objects never meet
+    nat = IndexSet.nat()
+    parity = PresentedMatrix(nat, diagonals={-2: 1, 2: 1})
+    assert is_transitive(ModuleCategoryModel("parity", "projectives", parity)) is Transitivity.NO
+    # a head that links object 0 to 1 and to 2 joins the two classes
+    joined = PresentedMatrix(nat, 1, {(0, 1): 1, (1, 0): 1, (0, 2): 1, (2, 0): 1},
+                             {-2: 1, 2: 1})
+    assert is_transitive(ModuleCategoryModel("joined", "projectives", joined)) is Transitivity.YES
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices)
+def test_no_on_nat_means_the_dense_window_is_not_strongly_connected(f1):
+    assume(f1.index.kind == "nat")
+    if is_transitive(ModuleCategoryModel("m", "projectives", f1)) is not Transitivity.NO:
+        return
+    n = f1.tail_start() + 2 * f1.band + 2
+    dense = f1.truncate(n)
+    forward = reachable(0, lambda v: (w for w in range(n) if dense[w][v]))
+    backward = reachable(0, lambda v: (w for w in range(n) if dense[v][w]))
+    assert len(forward) < n or len(backward) < n
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_matrices, st.one_of(st.none(), st.integers(0, 9)))
 def test_action_graph_and_connectivity_match_the_dense_window(f1, size):
@@ -549,42 +573,39 @@ def test_schur_dim_2_reports_match_digests(name):
         assert digest == OBSTRUCTION_DIGESTS_SCHUR_2[name][depth - 1], depth
 
 
-def _built_rules(monkeypatch):
-    """Record (maker, variable ids, event) for every rule that the rule makers build."""
-    made = []
-    for maker in ("_rule_equal", "_rule_sum"):
-        def recording(*args, _make=getattr(obstruction, maker), _maker=maker):
-            rule = _make(*args)
-            made.append((_maker, rule.ids, obstruction._event(args[-1])))
-            return rule
-        monkeypatch.setattr(obstruction, maker, recording)
-    return made
-
-
-def _catalog_builds(made):
-    """(state after the build, rules recorded) for the six models at depths 1..8."""
+def _catalog_builds():
+    """(state after the build, its (run, args) rules) for the six models at depths 1..8."""
     for name in catalog_names():
         for depth in range(1, 9):
-            made.clear()
             comps = obstruction._compositions(catalog(name).f1, depth)
             state = obstruction._fresh_state(comps, [])
-            obstruction._build_rules(comps, depth, 1, state)
-            yield state, list(made)
+            yield state, obstruction._build_rules(comps, depth, 1, state)
 
 
-def test_each_adjunction_identity_is_one_rule(monkeypatch):
-    made, seen = _built_rules(monkeypatch), 0
-    for _, rules in _catalog_builds(made):
-        pairs = [frozenset(keys) for maker, keys, _ in rules if maker == "_rule_equal"]
+def test_each_adjunction_identity_is_one_rule():
+    seen = 0
+    for _, rules in _catalog_builds():
+        pairs = [frozenset(args[0]) for run, args in rules if run is obstruction._equal]
         assert len(pairs) == len(set(pairs))
         seen += len(pairs)
     assert seen
 
 
-def test_no_nonzero_rule_on_a_key_the_build_pinned(monkeypatch):
-    made, seen = _built_rules(monkeypatch), 0
-    for state, rules in _catalog_builds(made):
-        nonzero = [keys for _, keys, event in rules if event["constraint"] == "nonzero"]
+def test_every_rule_is_a_module_level_run_with_its_ids_first():
+    runs = {obstruction._equal, obstruction._bound_sum, obstruction._semisimple}
+    for state, rules in _catalog_builds():
+        for run, args in rules:
+            assert run in runs
+            ids, spec = args[0], args[-1]
+            assert type(ids) is tuple and all(0 <= v < len(state.lo) for v in ids)
+            obstruction._event(spec)  # every spec renders
+
+
+def test_no_nonzero_rule_on_a_key_the_build_pinned():
+    seen = 0
+    for state, rules in _catalog_builds():
+        nonzero = [args[0] for _, args in rules
+                   if obstruction._event(args[-1])["constraint"] == "nonzero"]
         assert not [keys for keys in nonzero if len(keys) == 1 and state.value(keys[0]) is not None]
         seen += len(nonzero)
     assert seen
@@ -615,8 +636,8 @@ def _full_sweeps(state, rules):
     """Reference propagation: run every rule in order until a sweep changes nothing."""
     while True:
         before = _domains(state)
-        for rule in rules:
-            rule(state)
+        for run, args in rules:
+            run(state, *args)
         if _domains(state) == before:
             return
 
@@ -662,23 +683,19 @@ def test_watched_propagation_matches_full_sweeps(name, depth, data):
     _assert_watched_matches_full_sweeps(states[0], rules[0], states[1], rules[1], data)
 
 
-def _step_rule(x, cap, spec):
+def _step(state, ids, cap, spec):
     # raises lo(x) by one per run: it must run again after its own change
-    def run(state):
-        lo, hi = state.lo[x], state.hi[x]
-        if lo < cap:
-            state.narrow(x, lo + 1, hi, spec)
-    run.ids = (x,)
-    return run
+    (x,) = ids
+    lo, hi = state.lo[x], state.hi[x]
+    if lo < cap:
+        state.narrow(x, lo + 1, hi, spec)
 
 
-def _below_rule(x, y, gap, spec):
+def _below(state, ids, gap, spec):
     # lo(y) >= lo(x) + gap and hi(x) <= hi(y) - gap
-    def run(state):
-        state.narrow(y, state.lo[x] + gap, state.hi[y], spec)
-        state.narrow(x, state.lo[x], state.hi[y] - gap, spec)
-    run.ids = (x, y)
-    return run
+    x, y = ids
+    state.narrow(y, state.lo[x] + gap, state.hi[y], spec)
+    state.narrow(x, state.lo[x], state.hi[y] - gap, spec)
 
 
 _SYNTHETIC_RULE = st.one_of(
@@ -692,17 +709,16 @@ _SYNTHETIC_RULE = st.one_of(
 def test_watched_propagation_is_exact_for_rules_that_need_reruns(specs, data):
     # a rule whose change feeds itself or an earlier rule must wait for the
     # next sweep
-    keys = [("t", 1, 0, k) for k in range(4)]
-
     def build():
         rules = []
         for i, (kind, *args) in enumerate(specs):
             spec = (f"rule {i}",)
             if kind == "step":
-                rules.append(_step_rule(args[0], args[1], spec))
+                rules.append((_step, ((args[0],), args[1], spec)))
             else:
-                rules.append(_below_rule(args[0], args[1], args[2], spec))
-        return obstruction._State(keys, [0] * 4, [6] * 4, []), rules
+                rules.append((_below, ((args[0], args[1]), args[2], spec)))
+        # four variables in [0, 6]: top and socle of two factors of F_1 S_0
+        return obstruction._fresh_state({(1, 0): {0: 6, 1: 6}}, []), rules
 
     (watched, rules), (full, full_rules) = build(), build()
     _assert_watched_matches_full_sweeps(watched, rules, full, full_rules, data)
@@ -715,7 +731,8 @@ def _copying_search(state, rules):
         return state
     v = min(open_ids, key=lambda v: state.hi[v] - state.lo[v])
     for value in range(state.lo[v], state.hi[v] + 1):
-        branch = obstruction._State(state.keys, state.lo.copy(), state.hi.copy(), None)
+        branch = obstruction._State(state.keys, state.lo.copy(), state.hi.copy(), None,
+                                    state.top)
         try:
             branch.narrow(v, value, value, ("branch",))
             _full_sweeps(branch, rules)
@@ -807,18 +824,17 @@ def test_heap_choice_after_an_undo(monkeypatch, domains, narrowed, refuted, chos
     keys = list(domains)  # variable ids in dict order
     x, k, r = keys.index("x"), keys.index(narrowed[0]), keys.index(refuted)
 
-    def narrow(state):
+    def narrow(state, ids):
         if state.value(x) == 0:
             state.narrow(k, 0, narrowed[1], ("narrow",))
 
-    def refute(state):
+    def refute(state, ids):
         if state.value(x) == 0 and state.value(r) is not None:
             raise obstruction._Violation(("refute",))
 
-    narrow.ids, refute.ids = (x,), (x, r)
-    rules = [narrow, refute]
+    rules = [(narrow, ((x,),)), (refute, ((x, r),))]
     state = obstruction._State(keys, [lo for lo, _ in domains.values()],
-                               [hi for _, hi in domains.values()], None)
+                               [hi for _, hi in domains.values()], None, {})
     watch = obstruction._watch_index(rules, len(keys))
     seen = _choices_checked_against_the_scan(monkeypatch)
     assert obstruction._search(state, rules, watch, 100)

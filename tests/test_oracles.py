@@ -507,6 +507,64 @@ def test_translation_lemma_matches_the_every_column_reference_on_mutated_systems
                     restriction_action_matrix(name)
 
 
+def _simples(*ks):
+    """The character with one L(k) for each k given."""
+    counts = Counter(ks)
+    return SlCharacter([counts[k] for k in range(max(ks) + 1)], 1, [(0, 0)])
+
+
+def _install_stated(monkeypatch, f1, character):
+    """Install, as takiff, a synthetic system without branches whose object i
+    has the character character(i).  Unlike a chain of towers, such objects
+    can break the translation lemma's hypotheses."""
+    class Stated(oracles._System):
+        __slots__ = ()
+
+        def object(self, i):
+            return f"x_{i}", character(i)
+
+    monkeypatch.setitem(oracles._SYSTEMS, "takiff", Stated(f1, step=1))
+
+
+def _assert_first_failure_is(column):
+    # the every-column reference and the lemma-certified action matrix agree
+    system, window = oracles._SYSTEMS["takiff"], 24
+    characters = [system.character(i).truncate(window) for i in range(window)]
+    assert refimpl.first_failing_relation(system.f1.truncate(window), characters, 12) == column
+    with pytest.raises(RuntimeError, match=f"column {column} of the takiff "):
+        restriction_action_matrix("takiff")
+
+
+def test_translation_lemma_needs_chain_objects_from_j_minus_band(monkeypatch):
+    # the branches L(0), L(1), L(2) shift into each other, so at column 1 every
+    # other hypothesis holds; but chain_2 is not the shift of L(2), and
+    # relation 2 fails
+    branches = tuple((f"b{k}", _simples(k)) for k in range(3))
+    system = oracles._System(PresentedMatrix(IndexSet.nat(), diagonals={-1: 1, 1: 1}),
+                             step=1, first_chain=2, branches=branches)
+    monkeypatch.setitem(oracles._SYSTEMS, "takiff", system)
+    _assert_first_failure_is(2)
+
+
+def test_translation_lemma_needs_the_character_to_vanish_on_the_commutator(monkeypatch):
+    # object i is i zeros, then 1, 2, 3, ...: each is the shift of the one
+    # before, and relation 0 says chi_0 (x) L(1) = 2 chi_0; but chi_0 is 1 at
+    # L(0), so the commutator adds L(0) to relation 1, which fails
+    _install_stated(monkeypatch, PresentedMatrix(IndexSet.nat(), diagonals={0: 2}),
+                    lambda i: SlCharacter((0,) * i, 1, [(1, 1)]))
+    _assert_first_failure_is(1)
+
+
+def test_translation_lemma_needs_the_tower_shift(monkeypatch):
+    # relations 0 and 1 of the tridiagonal matrix hold, and at column 1 the
+    # other hypotheses hold; but chi_1 = 2 L(1) + L(3) is not the shift of
+    # chi_0 = L(0) + L(2), and relation 2 fails
+    stated = [_simples(0, 2), _simples(1, 1, 3), _simples(0, 2, 2, 4)]
+    _install_stated(monkeypatch, PresentedMatrix(IndexSet.nat(), diagonals={-1: 1, 1: 1}),
+                    lambda i: stated[i] if i < len(stated) else _simples(i))
+    _assert_first_failure_is(2)
+
+
 def _column_checks_and_rows(monkeypatch, name, truncation):
     """A_inf.apply calls (one per explicitly checked column), the rows the
     elimination receives and the pivot entries Echelon.add reads."""
