@@ -25,6 +25,7 @@ import sys
 from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from pathlib import Path
 
 from . import __version__, modcat, oracles
@@ -450,15 +451,73 @@ def _cmd_o_tensor(args) -> int:
     return EXIT_OK
 
 
-def _cmd_jordan(args) -> int:
-    from fractions import Fraction  # the one verb with a rational input
+#: the interpreter's default limit on int <-> str conversion: an eigenvalue
+#: with a longer digit run, numerator or denominator is refused, and one
+#: past it in lowest terms is refused before its power of ten is built
+MAX_EIGENVALUE_DIGITS = 4_300
+
+# the string grammar of fractions.Fraction, its "d*" decimal branch included;
+# compiled on first use, so the import compiles nothing
+_RATIONAL = r"""
+    \A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)
+    (?:(?:/(?P<denom>\d+(_\d+)*))?
+     |(?:\.(?P<decimal>d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)\s*\Z"""
+
+
+_TOO_LONG = (f"an eigenvalue has at most {MAX_EIGENVALUE_DIGITS} digits in each number it "
+             "writes and in its numerator and denominator")
+
+
+def _digit_run(text: str) -> int:
     try:
-        lam = Fraction(args.eigenvalue)
+        return int(text)
+    except ValueError:
+        if text.replace("_", "").isdecimal():  # past the interpreter's digit limit
+            raise ValueError(_TOO_LONG) from None
+        raise
+
+
+def _eigenvalue_text(text: str) -> str:
+    """``str(Fraction(text))`` in integers: the same grammar, value and errors
+    (a ValueError, or a ZeroDivisionError for p/0) with no import of
+    ``fractions``, except that a value past MAX_EIGENVALUE_DIGITS is refused
+    in its own words before any power of ten is built."""
+    match = re.match(_RATIONAL, text, re.VERBOSE | re.IGNORECASE)
+    if match is None:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    num, den, shift = _digit_run(match["num"] or "0"), 1, 0
+    if match["denom"]:
+        den = _digit_run(match["denom"])
+    else:
+        decimal = (match["decimal"] or "").replace("_", "")
+        if decimal:
+            num = num * 10 ** len(decimal) + _digit_run(decimal)
+        shift = (_digit_run(match["exp"]) if match["exp"] else 0) - len(decimal)
+    if match["sign"] == "-":
+        num = -num
+    if den == 0:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    if num and shift:
+        # |num| < 10^written, so 10^-shift / gcd leaves over 10^(-shift - written)
+        written = len(match["num"]) + len(match["decimal"] or "")
+        if shift >= MAX_EIGENVALUE_DIGITS or -shift - written >= MAX_EIGENVALUE_DIGITS:
+            raise ValueError(_TOO_LONG)
+        num, den = (num * 10 ** shift, 1) if shift > 0 else (num, 10 ** -shift)
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    if max(abs(num), den) >= 10 ** MAX_EIGENVALUE_DIGITS:
+        raise ValueError(_TOO_LONG)
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _cmd_jordan(args) -> int:
+    try:
+        lam = _eigenvalue_text(args.eigenvalue)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"cannot parse eigenvalue {args.eigenvalue!r}: {exc}") from exc
     partition = oracles.jordan_kronecker_oracle(args.n, lam)
     if args.json:
-        _print_json({"n": args.n, "eigenvalue": str(lam), **partition.to_json()})
+        _print_json({"n": args.n, "eigenvalue": lam, **partition.to_json()})
         return EXIT_OK
     print(" + ".join(f"J_{size}({ev})" for size, ev in partition.blocks))
     return EXIT_OK
@@ -591,6 +650,12 @@ def _cmd_predict(args) -> int:
 
 
 # -- parser ------------------------------------------------------------------------------------------
+#
+# One parser tree per process, built on the first main() call and grown by
+# the verb (and oracle) each argv names, so a call pays for its own subparser
+# and not for all thirteen.  Help, --version and a missing or unknown verb or
+# oracle list every verb, so they read the whole tree, built once in help
+# order.
 
 
 def _add_json(p: argparse.ArgumentParser) -> None:
@@ -602,18 +667,7 @@ def _add_model(p: argparse.ArgumentParser) -> None:
                    help="catalog model name or JSON model/matrix file")
 
 
-@cache  # built on the first main() call, not at import
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sl2cat",
-        description="Exact computations with finitely presented module "
-                    "category models over the sl2 fusion ring.")
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
-
-    p = sub.add_parser("classify",
-                       help="name a generalized Cartan matrix with an exact certificate")
+def _classify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gcm", required=True, metavar="FILE",
                    help="JSON matrix document holding the GCM")
     p.add_argument("--certificate", action="store_true",
@@ -623,7 +677,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_json(p)
     p.set_defaults(handler=_cmd_classify)
 
-    p = sub.add_parser("derive", help="derive action matrices F_0..F_K from F_1")
+
+def _derive_args(p: argparse.ArgumentParser) -> None:
     _add_model(p)
     p.add_argument("--upto", required=True, type=int, metavar="K",
                    help="largest simple index to derive")
@@ -634,20 +689,19 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_json(p)
     p.set_defaults(handler=_cmd_derive)
 
-    p = sub.add_parser("transitive",
-                       help="decide strong connectivity of the action graph")
+
+def _transitive_args(p: argparse.ArgumentParser) -> None:
     _add_model(p)
     _add_json(p)
     p.set_defaults(handler=_cmd_transitive)
 
-    p = sub.add_parser("verify-catalog",
-                       help="recompute every catalog fixture from the oracles "
-                            "and check all invariants")
+
+def _verify_catalog_args(p: argparse.ArgumentParser) -> None:
     _add_json(p)
     p.set_defaults(handler=_cmd_verify_catalog)
 
-    p = sub.add_parser("obstruction",
-                       help="run the top/socle feasibility solver on a model")
+
+def _obstruction_args(p: argparse.ArgumentParser) -> None:
     _add_model(p)
     p.add_argument("--depth", required=True, type=int, metavar="K",
                    help="number of functor degrees to constrain")
@@ -656,52 +710,53 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_json(p)
     p.set_defaults(handler=_cmd_obstruction)
 
-    p = sub.add_parser("decompose",
-                       help="decompose a tensor product over the category-O catalog")
+
+def _decompose_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tensor", required=True, metavar="EXPR",
                    help='expression like "L(1) x P(-2)"')
     _add_json(p)
     p.set_defaults(handler=_cmd_decompose)
 
-    p = sub.add_parser("oracle", help="run an independent oracle")
-    osub = p.add_subparsers(dest="oracle_verb", required=True, metavar="ORACLE")
 
-    ot = osub.add_parser("o-tensor",
-                         help="tensor a named object by a simple in the Verma basis")
-    ot.add_argument("--n", required=True, type=int, metavar="N",
-                    help="highest weight of the tensoring simple L(N)")
-    group = ot.add_mutually_exclusive_group(required=True)
+def _oracle_args(p: argparse.ArgumentParser) -> None:
+    _subparsers(p, "oracle_verb", "ORACLE")
+
+
+def _o_tensor_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", required=True, type=int, metavar="N",
+                   help="highest weight of the tensoring simple L(N)")
+    group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--object", metavar="OBJ",
                        help="integral object: L(w), P(w) or Delta(w)")
     group.add_argument("--coset-offset", type=int, metavar="J",
                        help="generic-coset Verma at integer offset J")
-    _add_json(ot)
-    ot.set_defaults(handler=_cmd_o_tensor)
+    _add_json(p)
+    p.set_defaults(handler=_cmd_o_tensor)
 
-    oj = osub.add_parser("jordan",
-                         help="Jordan type of a Jordan cell tensored with the "
-                              "2-dimensional simple")
-    oj.add_argument("--n", required=True, type=int, metavar="N",
-                    help="size of the Jordan cell")
-    oj.add_argument("--lambda", required=True, dest="eigenvalue", metavar="Q",
-                    help="eigenvalue, an exact rational; write negatives "
-                         "with = as in --lambda=-9/4")
-    _add_json(oj)
-    oj.set_defaults(handler=_cmd_jordan)
 
-    ors = osub.add_parser("restrictions",
-                          help="verify or solve a restriction-character system")
-    ors.add_argument("--system", required=True, metavar="NAME",
-                     help="one of: " + ", ".join(oracles.restriction_system_names()))
-    ors.add_argument("--truncation", type=int, default=20, metavar="K",
-                     help="window of simple indices to check (default 20)")
-    ors.add_argument("--assume-restrictions", action="store_true",
-                     help="pin the chain characters to their stated towers "
-                          "(the forked system is underdetermined without this)")
-    _add_json(ors)
-    ors.set_defaults(handler=_cmd_restrictions)
+def _jordan_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", required=True, type=int, metavar="N",
+                   help="size of the Jordan cell")
+    p.add_argument("--lambda", required=True, dest="eigenvalue", metavar="Q",
+                   help="eigenvalue, an exact rational; write negatives "
+                        "with = as in --lambda=-9/4")
+    _add_json(p)
+    p.set_defaults(handler=_cmd_jordan)
 
-    p = sub.add_parser("render", help="write the action or diagram graph as DOT")
+
+def _restrictions_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--system", required=True, metavar="NAME",
+                   help="one of: " + ", ".join(oracles.restriction_system_names()))
+    p.add_argument("--truncation", type=int, default=20, metavar="K",
+                   help="window of simple indices to check (default 20)")
+    p.add_argument("--assume-restrictions", action="store_true",
+                   help="pin the chain characters to their stated towers "
+                        "(the forked system is underdetermined without this)")
+    _add_json(p)
+    p.set_defaults(handler=_cmd_restrictions)
+
+
+def _render_args(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--model", metavar="NAME|FILE",
                        help="catalog model name or JSON model/matrix file")
@@ -713,9 +768,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="window of objects to show (default: head plus a tail sample)")
     p.set_defaults(handler=_cmd_render)
 
-    p = sub.add_parser("predict",
-                       help="case-dispatch type predictions for the two "
-                            "classification tables")
+
+def _predict_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theorem", required=True, choices=["10.1", "10.2"],
                    help="which dispatch table to consult")
     p.add_argument("--case", metavar="C",
@@ -734,13 +788,88 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_json(p)
     p.set_defaults(handler=_cmd_predict)
 
+
+#: name -> (help, the function that adds its arguments), in help order
+_VERBS = {
+    "classify": ("name a generalized Cartan matrix with an exact certificate",
+                 _classify_args),
+    "derive": ("derive action matrices F_0..F_K from F_1", _derive_args),
+    "transitive": ("decide strong connectivity of the action graph", _transitive_args),
+    "verify-catalog": ("recompute every catalog fixture from the oracles "
+                       "and check all invariants", _verify_catalog_args),
+    "obstruction": ("run the top/socle feasibility solver on a model", _obstruction_args),
+    "decompose": ("decompose a tensor product over the category-O catalog",
+                  _decompose_args),
+    "oracle": ("run an independent oracle", _oracle_args),
+    "render": ("write the action or diagram graph as DOT", _render_args),
+    "predict": ("case-dispatch type predictions for the two classification tables",
+                _predict_args),
+}
+_ORACLES = {
+    "o-tensor": ("tensor a named object by a simple in the Verma basis", _o_tensor_args),
+    "jordan": ("Jordan type of a Jordan cell tensored with the 2-dimensional simple",
+               _jordan_args),
+    "restrictions": ("verify or solve a restriction-character system", _restrictions_args),
+}
+
+
+@cache  # built on the first main() call, not at import
+def _top() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="sl2cat",
+        description="Exact computations with finitely presented module "
+                    "category models over the sl2 fusion ring.")
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s {__version__}")
     return parser
 
 
+@cache  # the one subparsers action of each parser, found again by its parser
+def _subparsers(parent: argparse.ArgumentParser, dest: str, metavar: str):
+    return parent.add_subparsers(dest=dest, required=True, metavar=metavar)
+
+
+def _grow(action, table: dict, name: str) -> argparse.ArgumentParser:
+    """The subparser of name under action, added the first time it is asked for."""
+    if name not in action.choices:
+        help_text, add_arguments = table[name]
+        add_arguments(action.add_parser(name, help=help_text))
+    return action.choices[name]
+
+
+@cache  # once per process: a listing follows the order its subparsers were added in
+def _whole() -> argparse.ArgumentParser:
+    """The tree with every verb and oracle, built again in help order."""
+    _top.cache_clear()
+    _subparsers.cache_clear()
+    verbs = _subparsers(_top(), "verb", "VERB")
+    for verb in _VERBS:
+        _grow(verbs, _VERBS, verb)
+    oracle_verbs = _subparsers(verbs.choices["oracle"], "oracle_verb", "ORACLE")
+    for name in _ORACLES:
+        _grow(oracle_verbs, _ORACLES, name)
+    return _top()
+
+
+def _parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The tree, grown by the verb and oracle that argv names; any other argv
+    (help, --version, a missing or unknown verb or oracle) lists them all.
+    The first word decides: the top parser's options take no value, so a
+    first word that names a verb is the verb, and every later word goes to
+    its subparser (likewise for the oracle's name after oracle)."""
+    verb, name = (argv + ["", ""])[:2]
+    if verb not in _VERBS or verb == "oracle" and name not in _ORACLES:
+        return _whole()
+    chosen = _grow(_subparsers(_top(), "verb", "VERB"), _VERBS, verb)
+    if verb == "oracle":
+        _grow(_subparsers(chosen, "oracle_verb", "ORACLE"), _ORACLES, name)
+    return _top()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parser(argv).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

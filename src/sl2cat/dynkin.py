@@ -442,20 +442,35 @@ def find_positive_null_vector(gcm: PresentedMatrix) -> PresentedVector | None:
 # -- graph matching ----------------------------------------------------------------
 
 
-def _profile(dense: list[list[int]], v: int) -> tuple:
-    out = sorted(x for j, x in enumerate(dense[v]) if j != v and x)
-    inc = sorted(row[v] for j, row in enumerate(dense) if j != v and row[v])
-    return (dense[v][v], tuple(out), tuple(inc))
+def _vertex_profiles(edges: dict[tuple[int, int], int], n: int) -> list[tuple]:
+    """(loops, sorted out-weights, sorted in-weights) of each of the n vertices
+    of the digraph with these nonzero edge weights, in O(edges): a relabelling
+    keeps each vertex's profile."""
+    loops = [0] * n
+    out: list[list[int]] = [[] for _ in range(n)]
+    inc: list[list[int]] = [[] for _ in range(n)]
+    for (i, j), w in edges.items():
+        if i == j:
+            loops[i] = w
+        else:
+            out[i].append(w)
+            inc[j].append(w)
+    return [(loops[v], tuple(sorted(out[v])), tuple(sorted(inc[v]))) for v in range(n)]
 
 
-def _digraph_isomorphic(a: list[list[int]], b: list[list[int]], movable: int | None = None) -> bool:
-    """An isomorphism of dense digraphs moving only vertices below movable."""
+def _dense_profiles(dense: list[list[int]]) -> list[tuple]:
+    edges = {(i, j): x for i, row in enumerate(dense) for j, x in enumerate(row) if x}
+    return _vertex_profiles(edges, len(dense))
+
+
+def _digraph_isomorphic(a: list[list[int]], b: list[list[int]], pa: list[tuple],
+                        pb: list[tuple], movable: int | None = None) -> bool:
+    """An isomorphism of dense digraphs with vertex profiles pa and pb moving
+    only vertices below movable."""
     n = len(a)
     if len(b) != n:
         return False
     movable = n if movable is None else movable
-    pa = [_profile(a, v) for v in range(n)]
-    pb = [_profile(b, v) for v in range(n)]
     if sorted(pa) != sorted(pb):
         return False
     # pinned vertices first; after them always a vertex next to one already
@@ -514,7 +529,8 @@ def _match_infinite(adjacency: PresentedMatrix) -> DynkinType | None:
         window = max(adjacency.head_size, adjacency.head_extent(),
                      candidate.head_extent()) + adjacency.band
         size = window + adjacency.band
-        if _digraph_isomorphic(adjacency.truncate(size), candidate.truncate(size), window):
+        a, b = adjacency.truncate(size), candidate.truncate(size)
+        if _digraph_isomorphic(a, b, _dense_profiles(a), _dense_profiles(b), window):
             return DynkinType("infinite", family)
     return None
 
@@ -562,22 +578,20 @@ def _unrecognized(reason: str) -> Classification:
     return Classification("unrecognized", None, {"reason": reason})
 
 
-def _profiles(dense: list[list[int]]) -> tuple:
-    return tuple(sorted(_profile(dense, v) for v in range(len(dense))))
-
-
 @lru_cache(maxsize=16)
-def _finite_templates(n: int) -> dict[tuple, list[tuple[DynkinType, list[list[int]]]]]:
-    """(kind, _profiles) -> [(type, dense adjacency)] of the classical and
-    affine templates on n vertices, in template_types order.  A template of
-    rank r has r or r + 1 vertices, so only ranks n - 1 and n are built."""
+def _finite_templates(n: int) -> dict[tuple, list[tuple[DynkinType, dict, list[tuple]]]]:
+    """(kind, sorted vertex profiles) -> [(type, edge table, vertex profiles)]
+    of the classical and affine templates on n vertices, in template_types
+    order, profiled from the edge tables.  A template of rank r has r or r + 1
+    vertices, so only ranks n - 1 and n are built."""
     out: dict = {}
     for dtype in template_types(n):
         if dtype.kind != "infinite" and dtype.rank >= n - 1:
             edges, count = _diagram(dtype)
             if count == n:
-                dense = [[edges.get((i, j), 0) for j in range(n)] for i in range(n)]
-                out.setdefault((dtype.kind, _profiles(dense)), []).append((dtype, dense))
+                profiles = _vertex_profiles(edges, n)
+                key = (dtype.kind, tuple(sorted(profiles)))
+                out.setdefault(key, []).append((dtype, edges, profiles))
     return out
 
 
@@ -602,8 +616,10 @@ def _classify_finite(gcm: PresentedMatrix, adjacency: PresentedMatrix) -> Classi
             return _unrecognized(neither)
         kind, proof = "affine", "positive null vector"
         certificate = {"null_vector": list(null.head)}
-    for dtype, candidate in _finite_templates(n).get((kind, _profiles(dense)), ()):
-        if _digraph_isomorphic(dense, candidate):
+    profiles = _dense_profiles(dense)
+    for dtype, edges, candidate in _finite_templates(n).get((kind, tuple(sorted(profiles))), ()):
+        template_dense = [[edges.get((i, j), 0) for j in range(n)] for i in range(n)]
+        if _digraph_isomorphic(dense, template_dense, profiles, candidate):
             if kind == "classical":
                 certificate["coxeter_number"] = coxeter_number(dtype)
                 certificate["annihilation"] = check_coxeter_annihilation(dtype)

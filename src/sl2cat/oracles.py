@@ -751,14 +751,15 @@ def jordan_kronecker_oracle(n: int, lam) -> JordanPartition:
     on the columns they do not pivot, born at d, complete them to a basis.
     Every bar's image goes through one Echelon, eldest first; a bar whose
     image reduces to zero dies at d (the elder rule: of dependent images
-    the youngest dies).  Needs 1 <= n <= MAX_JORDAN_N (ValueError otherwise).
+    the youngest dies).  The block sizes do not depend on the eigenvalue, so
+    lam only labels the blocks and is stored as given (the CLI passes its
+    canonical text, such as "-9/4").  Needs 1 <= n <= MAX_JORDAN_N
+    (ValueError otherwise).
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n > MAX_JORDAN_N:
         raise ValueError(f"the Jordan cell needs n <= {MAX_JORDAN_N}, got {n}")
-    from fractions import Fraction  # only this oracle takes a rational input
-    lam = Fraction(lam)
 
     # column s * n + t holds N(e_s (x) f_t)
     nil: dict[int, dict[int, int]] = {c: {} for c in range(2 * n)}
@@ -773,7 +774,7 @@ def jordan_kronecker_oracle(n: int, lam) -> JordanPartition:
         if any(degree[r] != degree[c] - 1 for r in col):
             raise RuntimeError(f"the Jordan action does not lower the degree of column {c}")
 
-    blocks: list[tuple[int, Fraction]] = []
+    blocks: list[tuple[int, object]] = []
     bars: list[tuple[int, dict[int, int]]] = []  # (birth, vector in V_d), eldest first
     pivots: dict[int, dict[int, int]] = {}
     for d in range(n, -1, -1):

@@ -140,7 +140,7 @@ def _as_int(value) -> int:
 class PresentedMatrix:
     """Immutable countably-indexed integer matrix in head + Toeplitz-tail form."""
 
-    __slots__ = ("index", "head_size", "band", "_diags", "_rows", "_cols", "_norm")
+    __slots__ = ("index", "head_size", "band", "_diags", "_rows", "_cols", "_norm", "_hash")
 
     def __init__(
         self,
@@ -553,7 +553,13 @@ class PresentedMatrix:
         return isinstance(other, PresentedMatrix) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        """hash(_key()), kept in _hash: hashing the key reads the whole head."""
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(self._key())
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __repr__(self) -> str:
         return (

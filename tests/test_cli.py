@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
 from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -16,8 +17,10 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+import corpus
+
 from sl2cat import modcat, oracles
-from sl2cat.cli import MAX_SIZE, MAX_UPTO, MAX_WINDOW, _print_json, main
+from sl2cat.cli import MAX_SIZE, MAX_UPTO, MAX_WINDOW, _eigenvalue_text, _print_json, main
 from sl2cat.dynkin import MAX_FINITE_RANK, Classification, DynkinType, gcm_of, template
 from sl2cat.modcat import ModuleCategoryModel, TypePrediction
 from sl2cat.obstruction import ObstructionReport
@@ -700,6 +703,61 @@ def test_jordan_cell_size_bound_exit_3(capsys):
     assert err == "error: the Jordan cell needs n <= 10000, got 10001\n"
 
 
+def _eigenvalue_literals():
+    """Literals over Fraction's grammar and past it, within the digit bound."""
+    run = st.text("0123456789", min_size=1, max_size=5)
+    runs = st.one_of(run, st.builds("{}_{}".format, run, run),
+                     st.sampled_from(["1__0", "_1", "1_", "٣", "1٠", "７", "²", "½"]))
+    exponent = st.builds("{}{}{}".format, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+                         st.one_of(st.integers(0, 60).map(str), st.sampled_from(["1_0", "", "x"])))
+    body = st.one_of(
+        runs,
+        st.builds("{}/{}".format, runs, runs),
+        st.builds("{}/0".format, runs),
+        st.builds("{}.{}".format, st.one_of(st.just(""), runs), st.one_of(st.just(""), runs)),
+        st.builds("{}{}".format, st.one_of(runs, st.builds("{}.{}".format, runs, runs)), exponent),
+        st.builds("{}.{}".format, runs, st.sampled_from(["d", "D", "dd", "d_1"])),
+        st.sampled_from(["", ".", "x", "e5", "1/2/3", "1.5/2", "nan", "inf", "0x10", "1/-2",
+                         "1 / 2", "1.2.3", "1e1.5", "1_e2", "/2"]))
+    space = st.sampled_from(["", "", " ", "\t", "\n", "\u3000", "\x0b"])
+    sign = st.sampled_from(["", "", "-", "+", "--", "+-"])
+    junk = st.one_of(st.just(""), st.text(st.characters(blacklist_categories=("Nd",)),
+                                          max_size=3))
+    return st.builds("".join, st.tuples(space, sign, body, junk, space))
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_eigenvalue_literals())
+def test_eigenvalue_text_is_what_fraction_reads(text):
+    # the same canonical text, or the same exception with the same message
+    try:
+        expected = str(Fraction(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        expected = (type(exc), str(exc))
+    try:
+        got = _eigenvalue_text(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        got = (type(exc), str(exc))
+    assert got == expected
+
+
+def test_eigenvalue_past_the_digit_bound_exits_3_at_once(capsys, time_limit):
+    # refused before a power of ten is built: 1e10000000 took 7.3 s and then
+    # printed the interpreter's advice to call sys.set_int_max_str_digits()
+    for text in ("1e100000000", "-1e-100000000", "1e10000000", "1e4300", "1e-4300",
+                 "1" * 4301, "1/" + "1" * 4301, "1" * 4300 + "." + "1" * 4300):
+        with time_limit(1.0):
+            code, out, err = run(capsys, "oracle", "jordan", "--n", "1", f"--lambda={text}")
+        assert (code, out) == (3, "")
+        assert err.endswith(": an eigenvalue has at most 4300 digits in each number it writes"
+                            " and in its numerator and denominator\n"), text
+    for text, shown in (("0e100000000", "0"), ("-0.0e-100000000", "0"),
+                        ("1e4299", "1" + "0" * 4299), ("-5e-4300", "-1/2" + "0" * 4299)):
+        with time_limit(1.0):
+            assert run(capsys, "oracle", "jordan", "--n", "1", f"--lambda={text}") == (
+                0, f"J_2({shown})\n", ""), text
+
+
 def test_restrictions_consistent_systems(capsys, registry):
     for system in ("takiff", "schrodinger"):
         code, doc = run_json(capsys, "oracle", "restrictions",
@@ -1108,8 +1166,9 @@ def test_import_loads_no_dataclasses_or_inspect():
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n"), flags
 
 
-def test_only_the_jordan_oracle_imports_fractions(tmp_path, a2_file):
-    # the exact kernel stays in the integers; only a rational eigenvalue needs fractions
+def test_no_verb_imports_fractions(tmp_path, a2_file):
+    # the exact kernel stays in the integers, and the eigenvalue of oracle
+    # jordan is parsed in integers: no verb pays for fractions and decimal
     src = str(Path(modcat.__file__).resolve().parents[1])
     affine = write_matrix(tmp_path, "a1t.json", [[2, -2], [-2, 2]])
     argvs = [
@@ -1124,6 +1183,8 @@ def test_only_the_jordan_oracle_imports_fractions(tmp_path, a2_file):
         ["transitive", "--model", "Tinf"],
         ["render", "--model", "Tinf", "--dot", "-", "--size", "3"],
         ["predict", "--theorem", "10.1", "--case", "e"],
+        ["oracle", "jordan", "--n", "3", "--lambda=-9/4", "--json"],
+        ["oracle", "jordan", "--n", "3", "--lambda= 2.50e-1 "],
     ]
     code = (f"import io, sys; sys.path.insert(0, {src!r})\n"
             "from contextlib import redirect_stdout\n"
@@ -1136,6 +1197,84 @@ def test_only_the_jordan_oracle_imports_fractions(tmp_path, a2_file):
             "cli.main(['oracle', 'jordan', '--n', '3', '--lambda=-9/4'])\n")
     proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\nJ_4(-9/4) + J_2(-9/4)\n")
+
+
+def test_a_fresh_process_builds_one_table_per_size_and_one_parser_per_verb(tmp_path):
+    # classify builds the template table of a size once, and a verb (or an
+    # oracle) adds its own subparser to the one tree the first time it runs;
+    # help builds the whole tree once, in help order
+    src = str(Path(modcat.__file__).resolve().parents[1])
+    gcms = {"a2": [[2, -1], [-1, 2]], "g2": [[2, -1], [-3, 2]],
+            "a3": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+            "at2": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+            "d4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]}
+    files = {name: write_matrix(tmp_path, f"{name}.json", rows) for name, rows in gcms.items()}
+    steps = [["classify", "--gcm", files[name], "--certificate"] for name in gcms]
+    steps += [["derive", "--model", "Ainf", "--upto", "1"],
+              ["oracle", "jordan", "--n", "2", "--lambda=1/2"],
+              ["oracle", "restrictions", "--system", "takiff", "--truncation", "8"],
+              ["--help"], ["oracle", "--help"], ["frobnicate"], ["transitive", "--model", "Ainf"]]
+    code = (f"import argparse, io, json, sys; sys.path.insert(0, {src!r})\n"
+            "from contextlib import redirect_stderr, redirect_stdout\n"
+            "from sl2cat import cli, dynkin\n"
+            "init, built = argparse.ArgumentParser.__init__, []\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(kwargs['prog'])\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "def grown():\n"
+            "    verbs = cli._subparsers(cli._top(), 'verb', 'VERB').choices\n"
+            "    if 'oracle' not in verbs:\n"
+            "        return [list(verbs), []]\n"
+            "    oracle = cli._subparsers(verbs['oracle'], 'oracle_verb', 'ORACLE').choices\n"
+            "    return [list(verbs), list(oracle)]\n"
+            f"for argv in {steps!r}:\n"
+            "    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
+            "        cli.main(argv)\n"
+            "    info = dynkin._finite_templates.cache_info()\n"
+            "    print(json.dumps([info.misses, info.currsize, built, grown()]))\n"
+            "    built.clear()\n")
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    # sizes 2, 2, 3, 3, 4: three tables, each built once
+    assert [row[:2] for row in rows[:5]] == [[1, 1], [1, 1], [2, 2], [2, 2], [3, 3]]
+    assert all(row[:2] == [3, 3] for row in rows[5:])
+    verbs = ["classify", "derive", "transitive", "verify-catalog", "obstruction",
+             "decompose", "oracle", "render", "predict"]
+    whole = [verbs, ["o-tensor", "jordan", "restrictions"]]
+    assert [row[3] for row in rows[4:]] == [
+        [["classify"], []],
+        [["classify", "derive"], []],
+        [["classify", "derive", "oracle"], ["jordan"]],
+        [["classify", "derive", "oracle"], ["jordan", "restrictions"]],
+        whole, whole, whole, whole]
+    # the parsers each step built: one tree grown by the verbs, then one
+    # whole tree that stays
+    assert [row[2] for row in rows] == [
+        ["sl2cat", "sl2cat classify"], [], [], [], [], ["sl2cat derive"],
+        ["sl2cat oracle", "sl2cat oracle jordan"], ["sl2cat oracle restrictions"],
+        ["sl2cat", *(f"sl2cat {verb}" for verb in verbs),
+         "sl2cat oracle o-tensor", "sl2cat oracle jordan", "sl2cat oracle restrictions"],
+        [], [], []]
+
+
+def test_help_and_usage_texts_match_their_goldens(monkeypatch):
+    # recorded when main() built the whole tree on its first call: help,
+    # version and usage errors, and a fresh-process session that runs every
+    # verb in the reverse of help order before it asks for help
+    monkeypatch.setenv("COLUMNS", corpus.COLUMNS)
+    src = Path(modcat.__file__).resolve().parents[1]
+    assert corpus.help_goldens(src) == json.loads(corpus.HELP_GOLDENS.read_text("utf-8"))
+
+
+def test_corpus_families_match_the_manifest():
+    # 5,248 cases in about 3 s; tests/corpus.py --check runs the same
+    recorded = json.loads(corpus.MANIFEST.read_text("utf-8"))
+    with tempfile.TemporaryDirectory() as tmp:
+        table = corpus.families(Path(tmp))
+        for name in table:
+            assert corpus.digest(table[name](), Path(tmp)) == recorded[name], name
 
 
 _ONE = PresentedMatrix(IndexSet.finite(1), head={(0, 0): 1})

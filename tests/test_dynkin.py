@@ -225,9 +225,17 @@ def test_relabelled_finite_templates_classify_to_themselves():
         assert (result.kind, result.dtype) == (dtype.kind, dtype), result.certificate
 
 
+def _dense_profile(dense, v):
+    """The profile of vertex v read from a dense adjacency, in O(n)."""
+    out = sorted(x for j, x in enumerate(dense[v]) if j != v and x)
+    inc = sorted(row[v] for j, row in enumerate(dense) if j != v and row[v])
+    return (dense[v][v], tuple(out), tuple(inc))
+
+
 def test_finite_template_table_matches_the_filter_over_every_type():
-    # the table builds ranks n - 1 and n only; filtering every template
-    # type of rank <= n by its vertex count gives the same table, in order
+    # the table builds ranks n - 1 and n only and profiles each edge table;
+    # filtering every template type of rank <= n by its vertex count and
+    # profiling its dense adjacency gives the same keys and candidates, in order
     for n in range(1, 17):
         table: dict = {}
         for dtype in template_types(n):
@@ -235,9 +243,18 @@ def test_finite_template_table_matches_the_filter_over_every_type():
                 edges, count = dynkin._diagram(dtype)
                 if count == n:
                     dense = [[edges.get((i, j), 0) for j in range(n)] for i in range(n)]
-                    key = (dtype.kind, dynkin._profiles(dense))
-                    table.setdefault(key, []).append((dtype, dense))
+                    profiles = [_dense_profile(dense, v) for v in range(n)]
+                    key = (dtype.kind, tuple(sorted(profiles)))
+                    table.setdefault(key, []).append((dtype, edges, profiles))
         assert dynkin._finite_templates(n) == table, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 7).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_edge_profiles_match_dense_profiles(dense):
+    n = len(dense)
+    assert dynkin._dense_profiles(dense) == [_dense_profile(dense, v) for v in range(n)]
 
 
 def test_relabelled_long_diagrams_classify_quickly(time_limit):

@@ -62,6 +62,26 @@ def test_fork_head_normalizes_to_size_one():
     ]
 
 
+def test_a_second_hash_reads_the_kept_value(monkeypatch):
+    # the hash of the normal form is kept beside it: a later hash neither
+    # rebuilds the key nor hashes it again, which would read the whole head
+    m = PresentedMatrix(IndexSet.nat(), 3, {(0, 1): 2, (1, 0): 1, (1, 2): 1}, {-1: 1, 1: 1})
+    first = hash(m)
+    keys = []
+    key = PresentedMatrix._key
+    monkeypatch.setattr(PresentedMatrix, "_key", lambda self: keys.append(self) or key(self))
+
+    class Unhashable:
+        def __hash__(self):
+            raise AssertionError("the kept key was hashed again")
+
+    object.__setattr__(m, "_norm", (Unhashable(),))
+    assert hash(m) == first and hash(m) == first
+    assert keys == []
+    twin = PresentedMatrix(IndexSet.nat(), 3, {(0, 1): 2, (1, 0): 1, (1, 2): 1}, {-1: 1, 1: 1})
+    assert hash(twin) == first and keys == [twin]
+
+
 def test_huge_declared_head_normalizes_at_once():
     start = time.perf_counter()
     assert PresentedMatrix(NAT, 10**9) == PresentedMatrix.zero(NAT)
