@@ -18,7 +18,10 @@ Families:
   of eigenvalue literals (signs, spaces, ``p/q``, ``/0``, decimals,
   exponents, underscores, other digits and junk), all within the
   4,300-digit bound;
-- ``jordan-bound``: eigenvalues at and past the bound.
+- ``jordan-bound``: eigenvalues at and past the bound;
+- ``derive``: text and ``--json``, with and without ``--basis`` and
+  ``--window``, on the six catalog models at K = 0..24 and on 100 seeded
+  non-negative models on N with heads 0..6 and bands 1..3.
 
 The help, version and usage-error texts are kept in full instead:
 ``help_goldens()`` runs ``HELP_ARGVS`` and one fresh-process session that
@@ -169,12 +172,44 @@ def jordan_cases(literals: list[str]) -> list[list[str]]:
             for mode in ([], ["--json"])]
 
 
+def _random_model(rng: random.Random) -> dict:
+    """A non-negative model on N: a head of 0 to 6 rows, a tail of band 1 to 3."""
+    head, band = rng.randint(0, 6), rng.randint(1, 3)
+    diagonals = {str(d): rng.choice([0, 1, 1, 2]) for d in range(-band, band + 1)}
+    diagonals[str(band)] = diagonals[str(-band)] = rng.randint(1, 2)
+    entries = [[i, j, rng.choice([0, 0, 1, 2])] for i in range(head + band)
+               for j in range(head + band) if min(i, j) < head]
+    return {"basis": "projectives",
+            "f1": {"index": "nat", "head": {"size": head, "entries": [e for e in entries if e[2]]},
+                   "tail": {"band": band, "diagonals": diagonals}}}
+
+
+DERIVE_MODES = [[], ["--json"], ["--basis", "simples"], ["--json", "--basis", "projectives"],
+                ["--window", "4"], ["--json", "--window", "7", "--basis", "simples"]]
+
+
+def derive_cases(workdir: Path) -> list[list[str]]:
+    from sl2cat import modcat
+    cases = [["derive", "--model", name, "--upto", str(k), *mode]
+             for name in modcat.catalog_names() for k in range(25)
+             for mode in DERIVE_MODES[k % 2::2]]
+    rng = random.Random("corpus:derive")
+    for k in range(100):
+        path = workdir / f"model_{k}.json"
+        path.write_text(json.dumps(_random_model(rng)), "utf-8")
+        upto = str(rng.randint(0, 8))
+        cases += [["derive", "--model", str(path), "--upto", upto, *mode]
+                  for mode in (DERIVE_MODES[k % 3 * 2], DERIVE_MODES[k % 3 * 2 + 1])]
+    return cases
+
+
 def families(workdir: Path) -> dict:
     """Family name -> a function that writes its input files and returns its argvs."""
     return {
         "classify": lambda: classify_cases(workdir),
         "jordan": lambda: jordan_cases(eigenvalue_literals(random.Random("corpus:jordan"), 600)),
         "jordan-bound": lambda: jordan_cases(BOUND_LITERALS),
+        "derive": lambda: derive_cases(workdir),
     }
 
 
