@@ -101,22 +101,22 @@ class Echelon:
         return basis
 
 
-def leading_minors(rows: Iterable[Mapping[int, int]]) -> list[int]:
+def leading_minors(rows: Iterable[Mapping[int, int]], echelon: Echelon | None = None) -> list[int]:
     """Leading principal minors of a square matrix, up to the first zero one.
 
     Rows are eliminated in order with no exchanges, so after k rows the
     pivots sit on columns 0..k-1 and the next pivot is the ratio of
-    consecutive minors.
+    consecutive minors.  Every row is eliminated, past a zero minor too,
+    into echelon if one is given, so the same elimination gives the kernel.
     """
-    echelon = Echelon()
+    echelon = Echelon() if echelon is None else echelon
     minors: list[int] = []
     minor = 1
     for k, row in enumerate(rows):
         work, scale = echelon.add(row)
-        minor = minor * work.get(k, 0) // scale
-        minors.append(minor)
-        if minor == 0:
-            break
+        if minor:
+            minor = minor * work.get(k, 0) // scale
+            minors.append(minor)
     return minors
 
 

@@ -270,7 +270,8 @@ class PresentedMatrix:
         return (((i, j), v) for i, row in self._rows.items() for j, v in row.items())
 
     def head_entries(self) -> list[tuple[int, int, int]]:
-        return sorted((i, j, v) for (i, j), v in self._items())
+        """(i, j, value) by row, then column: as (i, j) is unique, the sorted order."""
+        return [(i, j, row[j]) for i, row in sorted(self._rows.items()) for j in sorted(row)]
 
     def row_entries(self, i: int) -> Iterator[tuple[int, int]]:
         """All (j, value) with entry(i, j) != 0; finite by construction."""
@@ -511,11 +512,19 @@ class PresentedMatrix:
         entries = head.get("entries", [])
         if not isinstance(entries, list):
             raise PresentationError("head.entries must be a list")
-        triples = []
+        # one check per coordinate; a duplicate is reported after the tail and the size
+        rows: dict[int, dict[int, int]] = {}
+        duplicate = None
         for item in entries:
             if not (isinstance(item, list) and len(item) == 3):
                 raise PresentationError(f"head entry {item!r} is not [i, j, value]")
-            triples.append((_as_int(item[0]), _as_int(item[1]), _as_int(item[2])))
+            i, j, v = item
+            if type(i) is not int or type(j) is not int or type(v) is not int:
+                list(map(_as_int, item))
+            row = rows.setdefault(i, {})
+            if j in row and duplicate is None:
+                duplicate = (i, j)
+            row[j] = v
         diags_raw = tail.get("diagonals", {})
         if not isinstance(diags_raw, dict):
             raise PresentationError("tail.diagonals must be an object")
@@ -527,8 +536,10 @@ class PresentedMatrix:
                 raise PresentationError(f"duplicate diagonal offset {int(k)}")
             diags[int(k)] = _as_int(v)
         band = tail.get("band", 0)
-        head_size = head.get("size", 0)
-        matrix = PresentedMatrix(index, _as_int(head_size), triples, diags)
+        head_size = _as_int(head.get("size", 0))
+        if duplicate is not None:
+            raise PresentationError(f"duplicate head entry at {duplicate}")
+        matrix = PresentedMatrix._build(index, head_size, rows, diags)
         if _as_int(band) < matrix.band:
             raise PresentationError(f"declared band {band} smaller than diagonal offsets")
         if matrix.band > MAX_BAND:
@@ -544,7 +555,7 @@ class PresentedMatrix:
         try:
             return self._norm
         except AttributeError:
-            key = (self.index, self.head_size, tuple(sorted(self._items())),
+            key = (self.index, self.head_size, tuple(self.head_entries()),
                    tuple(sorted(self._diags.items())))
             object.__setattr__(self, "_norm", key)
             return key

@@ -113,6 +113,35 @@ def test_classify_disconnected_unrecognized_then_components(capsys, tmp_path):
                    "component 2: Classical A_1 (h=2)\n")
 
 
+def test_finite_classify_builds_no_adjacency_matrix_and_eliminates_once(capsys, tmp_path,
+                                                                       monkeypatch):
+    # every finite step reads the dense rows: an E~6 relabelled, B_4, a loop
+    # past two and a disconnected pair answer as before with graph_of and apply
+    # raising, and the affine one adds each of its 7 rows to one Echelon once
+    from sl2cat import dynkin, kernels
+    e6t = template(DynkinType("affine", "E6t")).truncate(7)
+    perm = [3, 6, 0, 5, 1, 4, 2]
+    paths = [write_matrix(tmp_path, "e6t.json", [[e6t[i][j] for j in perm] for i in perm]),
+             write_matrix(tmp_path, "b4.json", template(DynkinType("classical", "B", 4)).truncate(4)),
+             write_matrix(tmp_path, "loop.json", [[2, -1], [-1, -1]]),
+             write_matrix(tmp_path, "pair.json", [[2, 0, 0], [0, 2, -1], [0, -1, 2]])]
+    modes = [[], ["--certificate"], ["--components"], ["--json"]]
+    before = {(p, *m): run(capsys, "classify", "--gcm", p, *m) for p in paths for m in modes}
+    assert before[(paths[0], "--certificate")][1].startswith("Affine E~6")
+
+    def broken(*_):
+        raise AssertionError("the finite path builds no adjacency matrix and no vector")
+
+    monkeypatch.setattr(dynkin, "graph_of", broken)
+    monkeypatch.setattr(PresentedMatrix, "apply", broken)
+    assert {key: run(capsys, "classify", "--gcm", *key) for key in before} == before
+    calls = []
+    add = kernels.Echelon.add
+    monkeypatch.setattr(kernels.Echelon, "add", lambda self, row: calls.append(1) or add(self, row))
+    assert run(capsys, "classify", "--gcm", paths[0])[0] == 0
+    assert len(calls) == 7
+
+
 def test_classify_json_schema(capsys, registry, a2_file, tmp_path):
     code, doc = run_json(capsys, "classify", "--gcm", a2_file, "--json")
     assert code == 0
@@ -1269,7 +1298,7 @@ def test_help_and_usage_texts_match_their_goldens(monkeypatch):
 
 
 def test_corpus_families_match_the_manifest():
-    # 5,248 cases in about 3 s; tests/corpus.py --check runs the same
+    # 5,898 cases in about 3 s; tests/corpus.py --check runs the same
     recorded = json.loads(corpus.MANIFEST.read_text("utf-8"))
     with tempfile.TemporaryDirectory() as tmp:
         table = corpus.families(Path(tmp))

@@ -24,7 +24,7 @@ from sl2cat.dynkin import (
     template_types,
     validate_gcm,
 )
-from sl2cat.fusion import r_poly
+from sl2cat.fusion import action, r_poly
 from sl2cat.kernels import leading_minors
 from sl2cat.presented import IndexSet, PresentedMatrix, PresentedVector
 
@@ -117,13 +117,21 @@ def test_frozen_minors():
 
 
 def test_coxeter_annihilation_is_sharp():
-    # R_{h-1} kills the adjacency matrix, R_{h-2} does not
-    for dtype in (DynkinType("classical", "A", 3), DynkinType("classical", "B", 2),
-                  DynkinType("classical", "G2", 2)):
-        assert check_coxeter_annihilation(dtype)
+    # on every classical type of rank <= 12 the half-chain product agrees with
+    # F_{h-1} from the whole chain, R_{h-2} and R_h (by Horner) do not vanish,
+    # and every wrong h up to h + 1 fails the half-chain test
+    classical = [t for t in template_types(12) if t.kind == "classical"]
+    assert len(classical) == 12 + 11 + 10 + 9 + 5  # A_1.., B_2.., C_3.., D_4.., exceptional
+    for dtype in classical:
         adjacency = graph_of(template(dtype))
         h = coxeter_number(dtype)
-        assert not adjacency.poly_eval(r_poly(h - 2)).is_zero()
+        assert check_coxeter_annihilation(dtype), dtype
+        assert dynkin._annihilates(adjacency, h) is action(adjacency, h - 1).is_zero() is True
+        assert not adjacency.poly_eval(r_poly(h - 2)).is_zero(), dtype
+        assert not adjacency.poly_eval(r_poly(h)).is_zero(), dtype
+        for wrong in range(1, h + 2):
+            if wrong != h:
+                assert not dynkin._annihilates(adjacency, wrong), (dtype, wrong)
 
 
 def test_affine_templates_classify_with_positive_null_vectors():

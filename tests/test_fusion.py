@@ -120,18 +120,18 @@ def test_action_reaches_a_deep_index_without_recursion():
 
 
 def test_repeated_actions_build_the_key_of_f1_once(monkeypatch):
-    # the chain cache hashes F_1 on every lookup; its normal form, a sort of
-    # the whole head, is built on the first and kept
+    # the chain cache hashes F_1 on every lookup; its normal form, the whole
+    # head in sorted order, is built on the first and kept
     f1 = PresentedMatrix(IndexSet.nat(), 3, {(0, 1): 2, (1, 0): 1, (1, 2): 1, (2, 1): 1},
                          {-1: 1, 1: 1})
-    items, built = PresentedMatrix._items, []
+    items, built = PresentedMatrix.head_entries, []
 
     def counted(self):
         if self is f1:
             built.append(self)
         return items(self)
 
-    monkeypatch.setattr(PresentedMatrix, "_items", counted)
+    monkeypatch.setattr(PresentedMatrix, "head_entries", counted)
     for _ in range(5):
         for i in range(6):
             fusion.action(f1, i)
