@@ -387,9 +387,13 @@ def _annihilates(adjacency: PresentedMatrix, h: int) -> bool:
 
 
 @lru_cache(maxsize=128)
-def check_coxeter_annihilation(dtype: DynkinType) -> bool:
-    """R_{h-1} vanishes on the adjacency matrix of the classical template."""
+def _coxeter_annihilation(dtype: DynkinType) -> bool:
     return _annihilates(_template_adjacency(dtype), coxeter_number(dtype))
+
+
+def check_coxeter_annihilation(dtype: DynkinType) -> bool:
+    """R_{h-1} kills the template's adjacency; cached behind a plain function (bench/tracer.py)."""
+    return _coxeter_annihilation(dtype)
 
 
 # -- null vectors ----------------------------------------------------------------
@@ -442,8 +446,8 @@ def find_positive_null_vector(gcm: PresentedMatrix) -> PresentedVector | None:
 
 
 def _positive_kernel(echelon: Echelon, rows: list[list[int]]) -> list[int] | None:
-    """v spanning the kernel of the square rows in echelon, if v > 0 (it is primitive and
-    positive at its free column, so no sign change) and the rows give C v = 0; else None."""
+    """v spanning the kernel of the rows in echelon if v > 0 and C v = 0, else None: a
+    kernel vector is primitive and positive at its free column, so it needs no sign change."""
     basis = echelon.kernel(len(rows))
     if len(basis) != 1 or any(x <= 0 for x in basis[0]) or any(
             sum(c * x for c, x in zip(row, basis[0])) for row in rows):
@@ -607,10 +611,9 @@ def _finite_templates(n: int) -> dict[tuple, list[tuple[DynkinType, dict, list[t
 
 
 def _classify_finite(gcm: PresentedMatrix) -> Classification:
-    """Every step on gcm's dense rows: no adjacency matrix, one elimination."""
     n = gcm.index.size
     rows = gcm.truncate(n)
-    # the adjacency 2*Id - C; after validate_gcm its only broken rule can be a loop count
+    # every step reads these rows; their adjacency 2*Id - C can break only the loop rule
     dense = [[(2 if i == j else 0) - c for j, c in enumerate(row)] for i, row in enumerate(rows)]
     for i in range(n):
         if dense[i][i] > 2:

@@ -513,8 +513,7 @@ class PresentedMatrix:
         if not isinstance(entries, list):
             raise PresentationError("head.entries must be a list")
         # one check per coordinate; a duplicate is reported after the tail and the size
-        rows: dict[int, dict[int, int]] = {}
-        duplicate = None
+        rows, duplicate = {}, None
         for item in entries:
             if not (isinstance(item, list) and len(item) == 3):
                 raise PresentationError(f"head entry {item!r} is not [i, j, value]")
@@ -522,8 +521,7 @@ class PresentedMatrix:
             if type(i) is not int or type(j) is not int or type(v) is not int:
                 list(map(_as_int, item))
             row = rows.setdefault(i, {})
-            if j in row and duplicate is None:
-                duplicate = (i, j)
+            duplicate = duplicate or (j in row and (i, j))
             row[j] = v
         diags_raw = tail.get("diagonals", {})
         if not isinstance(diags_raw, dict):
@@ -537,7 +535,7 @@ class PresentedMatrix:
             diags[int(k)] = _as_int(v)
         band = tail.get("band", 0)
         head_size = _as_int(head.get("size", 0))
-        if duplicate is not None:
+        if duplicate:
             raise PresentationError(f"duplicate head entry at {duplicate}")
         matrix = PresentedMatrix._build(index, head_size, rows, diags)
         if _as_int(band) < matrix.band:

@@ -120,20 +120,23 @@ def test_finite_classify_builds_no_adjacency_matrix_and_eliminates_once(capsys, 
     # raising, and the affine one adds each of its 7 rows to one Echelon once
     from sl2cat import dynkin, kernels
     e6t = template(DynkinType("affine", "E6t")).truncate(7)
+    b4 = template(DynkinType("classical", "B", 4)).truncate(4)
     perm = [3, 6, 0, 5, 1, 4, 2]
     paths = [write_matrix(tmp_path, "e6t.json", [[e6t[i][j] for j in perm] for i in perm]),
-             write_matrix(tmp_path, "b4.json", template(DynkinType("classical", "B", 4)).truncate(4)),
+             write_matrix(tmp_path, "b4.json", b4),
              write_matrix(tmp_path, "loop.json", [[2, -1], [-1, -1]]),
              write_matrix(tmp_path, "pair.json", [[2, 0, 0], [0, 2, -1], [0, -1, 2]])]
     modes = [[], ["--certificate"], ["--components"], ["--json"]]
     before = {(p, *m): run(capsys, "classify", "--gcm", p, *m) for p in paths for m in modes}
     assert before[(paths[0], "--certificate")][1].startswith("Affine E~6")
+    assert before[(paths[1], "--certificate")][1].startswith("Classical B_4 (h=8)")
 
     def broken(*_):
         raise AssertionError("the finite path builds no adjacency matrix and no vector")
 
     monkeypatch.setattr(dynkin, "graph_of", broken)
     monkeypatch.setattr(PresentedMatrix, "apply", broken)
+    dynkin._coxeter_annihilation.cache_clear()
     assert {key: run(capsys, "classify", "--gcm", *key) for key in before} == before
     calls = []
     add = kernels.Echelon.add

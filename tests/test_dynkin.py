@@ -134,6 +134,22 @@ def test_coxeter_annihilation_is_sharp():
                 assert not dynkin._annihilates(adjacency, wrong), (dtype, wrong)
 
 
+def test_more_than_two_loops_is_named_at_the_first_vertex():
+    # c_ii < 0 puts 2 - c_ii > 2 loops at vertex i; the finite path names the
+    # first such vertex before connectivity, as graph_of does on N, and two
+    # loops (c_ii = 0) are allowed
+    loops = "more than two loops at vertex {}"
+    neither = "neither positive definite nor a positive null vector"
+    cases = [([[-1]], loops.format(0)), ([[2, -1], [-1, -1]], loops.format(1)),
+             ([[2, 0, 0], [0, -1, 0], [0, 0, -3]], loops.format(1)),
+             ([[0, -1], [-1, 0]], neither), ([[2, -1, 0], [-1, 0, -1], [0, -1, 2]], neither)]
+    for rows, reason in cases:
+        assert classify(finite_gcm(rows)) == ("unrecognized", None, {"reason": reason}), rows
+    nat = PresentedMatrix(IndexSet.nat(), 1, {(0, 0): -1, (0, 1): -1, (1, 0): -1},
+                          {-1: -1, 0: 2, 1: -1})
+    assert classify(nat).certificate == {"reason": loops.format(0)}
+
+
 def test_affine_templates_classify_with_positive_null_vectors():
     for dtype in template_types(8):
         if dtype.kind != "affine":

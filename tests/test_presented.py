@@ -595,6 +595,37 @@ def test_json_validation_errors():
             )
 
 
+def test_json_head_entry_messages_keep_their_order():
+    # a document's head entries are read in order, each checked for its shape
+    # and its integers; a duplicate is reported after the tail and the size,
+    # and before an entry outside the head region
+    def doc(entries, diagonals=None, size=2):
+        return {"index": "nat", "head": {"size": size, "entries": entries},
+                "tail": {"band": 1, "diagonals": diagonals or {"-1": 1, "1": 1}}}
+
+    dup = [[0, 1, 1], [0, 1, 2]]
+    cases = [
+        (doc([[0, 1.0, 1]]), "expected an integer, got 1.0"),
+        (doc([[0, 1, True]]), "expected an integer, got True"),
+        (doc([[0, 1]]), "head entry [0, 1] is not [i, j, value]"),
+        (doc([["0", 1, 1], [1]]), "expected an integer, got '0'"),
+        (doc([[1], ["0", 1, 1]]), "head entry [1] is not [i, j, value]"),
+        (doc(dup), "duplicate head entry at (0, 1)"),
+        (doc([[0, 1, 0], [0, 1, 2]]), "duplicate head entry at (0, 1)"),
+        (doc([*dup, [1, 0, 3], [1, 0, 4]]), "duplicate head entry at (0, 1)"),
+        (doc([*dup, [1, 0, "x"]]), "expected an integer, got 'x'"),
+        (doc(dup, {"a": 1}), "bad diagonal offset 'a'"),
+        (doc(dup, {"1": 1.5}), "expected an integer, got 1.5"),
+        (doc(dup, size="2"), "expected an integer, got '2'"),
+        (doc([[5, 5, 1], *dup]), "duplicate head entry at (0, 1)"),
+        (doc([[5, 5, 1]]), "entry (5,5) outside declared head region (head_size=2)"),
+    ]
+    for document, message in cases:
+        with pytest.raises(PresentationError) as info:
+            PresentedMatrix.from_json_dict(document)
+        assert str(info.value) == message, document
+
+
 def test_vector_json_round_trip():
     v = PresentedVector(NAT, (1, 5), [(2, 1)])
     doc = v.to_json_dict()
